@@ -35,8 +35,7 @@ from .engine import (
     pure_overlap_fidelity,
     trace_distance,
 )
-from .ffield import FieldElement, PrimeField, inverse_of_two, is_odd_prime
-from .kernels import active_backend, available_backends, set_backend
+from .ffield import inverse_of_two, is_odd_prime
 from .protocol import (
     MEASURED_EDGES,
     VARIANT_FULL,
@@ -64,11 +63,9 @@ __all__ = [
     "CoefficientMatrix",
     "DensityMatrix",
     "EDGES",
-    "FieldElement",
     "FlowAssignment",
     "MEASURED_EDGES",
     "MeasurementResult",
-    "PrimeField",
     "ProtocolConfig",
     "RegisterLayout",
     "RunResult",
@@ -77,11 +74,9 @@ __all__ = [
     "Transcript",
     "VARIANT_FULL",
     "VARIANT_WEAK",
-    "active_backend",
     "analyze",
     "attacked_coefficient_matrix",
     "attacked_fidelity",
-    "available_backends",
     "branch_table",
     "classical_secrecy_check",
     "coefficient_matrix",
@@ -100,7 +95,6 @@ __all__ = [
     "random_isometry",
     "recovery_check",
     "run",
-    "set_backend",
     "trace_distance",
     "verify_independence",
 ]

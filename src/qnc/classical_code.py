@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ffield import FieldElement, PrimeField, inverse_of_two, validate_modulus
+from .ffield import inverse_of_two, validate_modulus
 
 # Edge index -> (tail node, head node).  Edges 3, 4, 14, 15 are classical
 # channels; 1, 2 and 5..13 carry qudits in the quantum protocol.
@@ -75,18 +75,18 @@ def _coeff(tag: int | str, p: int) -> int:
 class FlowAssignment:
     """All edge values for one choice of messages and keys.
 
-    ``z`` maps edge index to its value; edges 14 and 15 carry the pair key
-    b2 unchanged and are stored as tuples.
+    ``z`` maps edge index to its value in [0, p); edges 14 and 15 carry the
+    pair key b2 unchanged and are stored as tuples.
     """
 
     p: int
-    a1: FieldElement
-    a2: FieldElement
-    b1: FieldElement
-    b2: tuple[FieldElement, FieldElement]
-    z: dict[int, FieldElement | tuple[FieldElement, FieldElement]] = field(repr=False)
+    a1: int
+    a2: int
+    b1: int
+    b2: tuple[int, int]
+    z: dict[int, int | tuple[int, int]] = field(repr=False)
 
-    def value(self, edge: int) -> FieldElement:
+    def value(self, edge: int) -> int:
         v = self.z[edge]
         if isinstance(v, tuple):
             raise ValueError(f"edge {edge} carries a pair, not a single value")
@@ -94,47 +94,41 @@ class FlowAssignment:
 
     def vector(self, edges: tuple[int, ...] = ROW_EDGES) -> np.ndarray:
         """Edge values as an integer array, in the given edge order."""
-        return np.array([int(self.value(e)) for e in edges], dtype=np.int64)
+        return np.array([self.value(e) for e in edges], dtype=np.int64)
+
+
+def _forward_values(p: int, a1: int, a2: int, b1: int,
+                    attacked_edge: int | None = None, injected: int = 0) -> dict[int, int]:
+    """Forward pass of FLOW_RULES on edge values mod p.
+
+    Kept apart from ``_propagate`` on purpose: the coefficient matrices are
+    tested against this pass, so the two must not share an evaluator.
+    """
+    validate_modulus(p)
+    z = {1: a1 % p, 2: a2 % p, 3: b1 % p, 4: b1 % p}
+    for edge in sorted(FLOW_RULES):
+        if edge == attacked_edge:
+            z[edge] = injected % p
+        else:
+            z[edge] = sum(_coeff(tag, p) * z[src] for src, tag in FLOW_RULES[edge]) % p
+    return z
 
 
 def evaluate_flow(
-    p: int,
-    a1: int | FieldElement,
-    a2: int | FieldElement,
-    b1: int | FieldElement,
-    b2: tuple[int, int] | tuple[FieldElement, FieldElement] = (0, 0),
+    p: int, a1: int, a2: int, b1: int, b2: tuple[int, int] = (0, 0)
 ) -> FlowAssignment:
     """Run the butterfly code once and return every edge value.
 
     The sinks recover the crossed messages: edge 12 carries a1 and edge 13
     carries a2, for every key choice.
     """
-    F = PrimeField(p)
-    a1, a2, b1 = F(a1), F(a2), F(b1)
-    pad = (F(b2[0]), F(b2[1]))
-    z: dict[int, FieldElement | tuple[FieldElement, FieldElement]] = {
-        1: a1,
-        2: a2,
-        3: b1,
-        4: b1,
-        14: pad,
-        15: pad,
-    }
-    for edge in sorted(FLOW_RULES):
-        acc = F.zero
-        for src, tag in FLOW_RULES[edge]:
-            acc = acc + z[src] * _coeff(tag, p)  # type: ignore[operator]
-        z[edge] = acc
-    return FlowAssignment(p=p, a1=a1, a2=a2, b1=b1, b2=pad, z=z)
+    z = _forward_values(p, a1, a2, b1)
+    pad = (b2[0] % p, b2[1] % p)
+    return FlowAssignment(p=p, a1=z[1], a2=z[2], b1=z[3], b2=pad, z={**z, 14: pad, 15: pad})
 
 
 def evaluate_attacked_flow(
-    p: int,
-    a1: int | FieldElement,
-    a2: int | FieldElement,
-    b1: int | FieldElement,
-    attacked_edge: int,
-    injected: int | FieldElement,
+    p: int, a1: int, a2: int, b1: int, attacked_edge: int, injected: int
 ) -> FlowAssignment:
     """Flow where the attacked edge's value is replaced by an injected symbol.
 
@@ -143,20 +137,8 @@ def evaluate_attacked_flow(
     """
     if attacked_edge not in ATTACKABLE_EDGES:
         raise ValueError(f"attacked edge must be in {ATTACKABLE_EDGES}, got {attacked_edge}")
-    F = PrimeField(p)
-    a1, a2, b1, injected = F(a1), F(a2), F(b1), F(injected)
-    z: dict[int, FieldElement | tuple[FieldElement, FieldElement]] = {
-        1: a1,
-        2: a2,
-        3: b1,
-        4: b1,
-    }
-    for edge in sorted(FLOW_RULES):
-        acc = F.zero
-        for src, tag in FLOW_RULES[edge]:
-            acc = acc + z[src] * _coeff(tag, p)  # type: ignore[operator]
-        z[edge] = injected if edge == attacked_edge else acc
-    return FlowAssignment(p=p, a1=a1, a2=a2, b1=b1, b2=(F.zero, F.zero), z=z)
+    z = _forward_values(p, a1, a2, b1, attacked_edge, injected)
+    return FlowAssignment(p=p, a1=z[1], a2=z[2], b1=z[3], b2=(0, 0), z=z)
 
 
 @dataclass(frozen=True)
@@ -309,7 +291,7 @@ def classical_secrecy_check(
     joint: dict[tuple[int, int, int], int] = {}
     for a1, a2 in itertools.product(range(p), repeat=2):
         for b1 in keys:
-            zj = int(evaluate_flow(p, a1, a2, b1).value(edge))
+            zj = evaluate_flow(p, a1, a2, b1).value(edge)
             key = (zj, a1, a2)
             joint[key] = joint.get(key, 0) + 1
 

@@ -1,7 +1,8 @@
 """Command line front end: reproducible runs and report emission.
 
 Exit codes: 0 success (or expected verdict), 1 verdict/tolerance failure,
-2 usage error.  Seeds fall back to the QNC_SEED environment variable.  All
+2 usage error, 3 out of memory (a one-line ``error:`` message on stderr,
+never a traceback).  Seeds fall back to the QNC_SEED environment variable.  All
 floats are emitted with 12 significant digits; JSON output is byte-stable
 for a fixed (config, seed) once --no-timestamp is given.
 """
@@ -330,6 +331,10 @@ def main(argv=None) -> int:
         return args.func(args, parser)
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
+    except MemoryError as exc:
+        # also numpy's allocation failures; kept apart from exit 1 (verdict mismatch)
+        detail = " ".join(str(exc).split())
+        parser.exit(3, f"error: out of memory{': ' + detail if detail else ''}\n")
 
 
 if __name__ == "__main__":

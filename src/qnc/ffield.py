@@ -1,18 +1,10 @@
-"""Arithmetic over the prime field F_p for odd primes p >= 3.
+"""Modulus checks for the prime field F_p, odd primes p >= 3.
 
-Field elements are small immutable wrappers used by the classical layer for
-readable flow equations.  Hot numeric paths work on plain integer arrays and
-only borrow the modulus and the inverse-of-two constant from here.
+All field arithmetic is done on plain integers reduced mod p; this module
+only validates the modulus and supplies the inverse-of-two constant.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterator
-
-
-class FieldMismatchError(ValueError):
-    """Raised when two elements from fields with different moduli meet."""
 
 
 def is_odd_prime(n: int) -> bool:
@@ -38,142 +30,3 @@ def validate_modulus(p: int) -> int:
 def inverse_of_two(p: int) -> int:
     """Multiplicative inverse of 2 mod p; equals (p + 1) / 2 for odd p."""
     return (p + 1) // 2
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of F_p, stored as its canonical representative in [0, p)."""
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        validate_modulus(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other: "FieldElement | int") -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.p != self.p:
-                raise FieldMismatchError(
-                    f"cannot combine elements of F_{self.p} and F_{other.p}"
-                )
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return FieldElement(other, self.p)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: "FieldElement | int") -> "FieldElement":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "FieldElement | int") -> "FieldElement":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - o.value, self.p)
-
-    def __rsub__(self, other: "FieldElement | int") -> "FieldElement":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(o.value - self.value, self.p)
-
-    def __mul__(self, other: "FieldElement | int") -> "FieldElement":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.p)
-
-    def inv(self) -> "FieldElement":
-        """Multiplicative inverse via Fermat's little theorem (x^(p-2))."""
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return FieldElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other: "FieldElement | int") -> "FieldElement":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inv()
-
-    def __pow__(self, exponent: int) -> "FieldElement":
-        if exponent < 0:
-            return self.inv() ** (-exponent)
-        return FieldElement(pow(self.value, exponent, self.p), self.p)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.p))
-
-    def __int__(self) -> int:
-        return self.value
-
-    __index__ = __int__
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.p})"
-
-
-class PrimeField:
-    """Factory for elements of a fixed F_p.
-
-    >>> F = PrimeField(5)
-    >>> (F(3) + F(4)) * F(2).inv()
-    1 (mod 5)
-    """
-
-    def __init__(self, p: int):
-        self.p = validate_modulus(p)
-
-    def __call__(self, value: int | FieldElement) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.p != self.p:
-                raise FieldMismatchError(
-                    f"element of F_{value.p} does not belong to F_{self.p}"
-                )
-            return value
-        return FieldElement(value, self.p)
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(0, self.p)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(1, self.p)
-
-    @property
-    def half(self) -> FieldElement:
-        """The element 1/2, used by the butterfly decoding taps."""
-        return FieldElement(inverse_of_two(self.p), self.p)
-
-    def elements(self) -> Iterator[FieldElement]:
-        for v in range(self.p):
-            yield FieldElement(v, self.p)
-
-    def __len__(self) -> int:
-        return self.p
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"

@@ -1,65 +1,17 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels on plain arrays.
 
-Everything here works on plain arrays.  The two workloads are (a) sweeping
-all announced-outcome branches of a protocol run to get per-branch
-probability and output fidelity, and (b) assembling the wiretapper's
-conditional joint states for a batch of announced records from a
-precomputed pair list.
-
-Backends:
-  * "numba": tight jitted loops (default when numba imports cleanly);
-  * "numpy": vectorized chunked fallback, identical outputs.
-
-Select with the QNC_BACKEND environment variable or ``set_backend``.
+The two workloads are (a) sweeping all announced-outcome branches of a
+protocol run to get per-branch probability and output fidelity, and (b)
+assembling the wiretapper's conditional joint states for a batch of
+announced records from a precomputed pair list.  Both are vectorized numpy;
+``tests/kernel_ref.py`` holds the plain loops they are checked against.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .engine import phase_table
-
-try:
-    import numba as nb
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-_VALID_BACKENDS = ("numba", "numpy")
-_backend: str | None = None
-
-
-def available_backends() -> tuple[str, ...]:
-    return _VALID_BACKENDS if _HAVE_NUMBA else ("numpy",)
-
-
-def set_backend(name: str | None) -> None:
-    """Force a backend, or reset to the environment/default choice with None."""
-    global _backend
-    if name is None:
-        _backend = None
-        return
-    if name not in _VALID_BACKENDS:
-        raise ValueError(f"backend must be one of {_VALID_BACKENDS}, got {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-def active_backend() -> str:
-    if _backend is not None:
-        return _backend
-    env = os.environ.get("QNC_BACKEND", "").strip().lower()
-    if env:
-        if env not in _VALID_BACKENDS:
-            raise ValueError(f"QNC_BACKEND must be one of {_VALID_BACKENDS}, got {env!r}")
-        if env == "numba" and not _HAVE_NUMBA:
-            raise RuntimeError("QNC_BACKEND=numba but numba is not importable")
-        return env
-    return "numba" if _HAVE_NUMBA else "numpy"
 
 
 def record_digits(p: int, width: int, start: int, stop: int) -> np.ndarray:
@@ -81,105 +33,12 @@ def record_index(record: tuple[int, ...] | np.ndarray, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _branch_summary_loop(amp, zmeas, rest_index, h12, h13, weight, group,
-                         n_rest, n_groups, m1, m2, p, table):
-    k_count, n_meas = zmeas.shape
-    n_branches = p**n_meas
-    prob = np.zeros(n_branches, dtype=np.float64)
-    fid = np.zeros(n_branches, dtype=np.float64)
-    digits = np.zeros(n_meas, dtype=np.int64)
-    vec = np.zeros(n_rest, dtype=np.complex128)
-    acc = np.zeros(n_groups, dtype=np.complex128)
-    inv_total = 1.0 / float(n_branches)
-    for b in range(n_branches):
-        for r in range(n_rest):
-            vec[r] = 0.0
-        for i in range(k_count):
-            e = 0
-            for k in range(n_meas):
-                e += digits[k] * zmeas[i, k]
-            vec[rest_index[i]] += amp[i] * table[e % p]
-        norm2 = 0.0
-        for r in range(n_rest):
-            z = vec[r]
-            norm2 += z.real * z.real + z.imag * z.imag
-        r1 = 0
-        r2 = 0
-        for k in range(n_meas):
-            r1 += digits[k] * m1[k]
-            r2 += digits[k] * m2[k]
-        for g in range(n_groups):
-            acc[g] = 0.0
-        for r in range(n_rest):
-            g = group[r]
-            if g >= 0:
-                acc[g] += vec[r] * weight[r] * table[(-(r1 * h12[r] + r2 * h13[r])) % p]
-        overlap = 0.0
-        for g in range(n_groups):
-            z = acc[g]
-            overlap += z.real * z.real + z.imag * z.imag
-        prob[b] = norm2 * inv_total
-        fid[b] = overlap / norm2 if norm2 > 0.0 else 0.0
-        # odometer: advance to the next record, last digit fastest
-        for k in range(n_meas - 1, -1, -1):
-            digits[k] += 1
-            if digits[k] < p:
-                break
-            digits[k] = 0
-    return prob, fid
-
-
-if _HAVE_NUMBA:
-    _branch_summary_numba = nb.njit(cache=True)(_branch_summary_loop)
-
-
 def _segment_order(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort order, reduceat starts, and the sorted-unique labels."""
     order = np.argsort(labels, kind="stable")
     sorted_labels = labels[order]
     starts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
     return order, starts, sorted_labels[starts]
-
-
-def _branch_summary_numpy(amp, zmeas, rest_index, h12, h13, weight, group,
-                          n_rest, n_groups, m1, m2, p, table,
-                          chunk: int = 4096):
-    n_meas = zmeas.shape[1]
-    n_branches = p**n_meas
-    prob = np.zeros(n_branches, dtype=np.float64)
-    fid = np.zeros(n_branches, dtype=np.float64)
-
-    r_order, r_starts, r_labels = _segment_order(rest_index)
-    # every rest index occurs, so reduceat columns align with 0..n_rest-1
-    assert r_labels.size == n_rest
-
-    matched = np.flatnonzero(group >= 0)
-    if matched.size:
-        g_order, g_starts, _ = _segment_order(group[matched])
-        matched_sorted = matched[g_order]
-        h12m, h13m, wgtm = h12[matched_sorted], h13[matched_sorted], weight[matched_sorted]
-
-    zt = zmeas.astype(np.float64).T
-    for lo in range(0, n_branches, chunk):
-        hi = min(lo + chunk, n_branches)
-        digits = record_digits(p, n_meas, lo, hi)
-        expo = np.rint(digits.astype(np.float64) @ zt).astype(np.int64) % p
-        psi = table[expo] * amp[None, :]
-        vec = np.add.reduceat(psi[:, r_order], r_starts, axis=1)
-        norm2 = np.einsum("br,br->b", vec, vec.conj()).real
-        if matched.size:
-            r1 = (digits @ m1) % p
-            r2 = (digits @ m2) % p
-            corr_expo = (-(r1[:, None] * h12m[None, :] + r2[:, None] * h13m[None, :])) % p
-            contrib = vec[:, matched_sorted] * wgtm[None, :] * table[corr_expo]
-            acc = np.add.reduceat(contrib, g_starts, axis=1)
-            overlap = np.einsum("bg,bg->b", acc, acc.conj()).real
-        else:
-            overlap = np.zeros(hi - lo)
-        prob[lo:hi] = norm2 / n_branches
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fid[lo:hi] = np.where(norm2 > 0.0, overlap / norm2, 0.0)
-    return prob, fid
 
 
 def branch_summary(
@@ -218,46 +77,48 @@ def branch_summary(
     m1 = np.ascontiguousarray(m1, dtype=np.int64) % p
     m2 = np.ascontiguousarray(m2, dtype=np.int64) % p
     table = phase_table(p)
-    if active_backend() == "numba":
-        return _branch_summary_numba(amp, zmeas, rest_index, h12, h13, weight,
-                                     group, n_rest, n_groups, m1, m2, p, table)
-    return _branch_summary_numpy(amp, zmeas, rest_index, h12, h13, weight,
-                                 group, n_rest, n_groups, m1, m2, p, table)
+    chunk = 4096
+    n_meas = zmeas.shape[1]
+    n_branches = p**n_meas
+    prob = np.zeros(n_branches, dtype=np.float64)
+    fid = np.zeros(n_branches, dtype=np.float64)
+
+    r_order, r_starts, r_labels = _segment_order(rest_index)
+    # every rest index occurs, so reduceat columns align with 0..n_rest-1
+    assert r_labels.size == n_rest
+
+    matched = np.flatnonzero(group >= 0)
+    if matched.size:
+        g_order, g_starts, _ = _segment_order(group[matched])
+        matched_sorted = matched[g_order]
+        h12m, h13m, wgtm = h12[matched_sorted], h13[matched_sorted], weight[matched_sorted]
+
+    zt = zmeas.astype(np.float64).T
+    for lo in range(0, n_branches, chunk):
+        hi = min(lo + chunk, n_branches)
+        digits = record_digits(p, n_meas, lo, hi)
+        expo = np.rint(digits.astype(np.float64) @ zt).astype(np.int64) % p
+        psi = table[expo] * amp[None, :]
+        vec = np.add.reduceat(psi[:, r_order], r_starts, axis=1)
+        norm2 = np.einsum("br,br->b", vec, vec.conj()).real
+        if matched.size:
+            r1 = (digits @ m1) % p
+            r2 = (digits @ m2) % p
+            corr_expo = (-(r1[:, None] * h12m[None, :] + r2[:, None] * h13m[None, :])) % p
+            contrib = vec[:, matched_sorted] * wgtm[None, :] * table[corr_expo]
+            acc = np.add.reduceat(contrib, g_starts, axis=1)
+            overlap = np.einsum("bg,bg->b", acc, acc.conj()).real
+        else:
+            overlap = np.zeros(hi - lo)
+        prob[lo:hi] = norm2 / n_branches
+        with np.errstate(invalid="ignore", divide="ignore"):
+            fid[lo:hi] = np.where(norm2 > 0.0, overlap / norm2, 0.0)
+    return prob, fid
 
 
 # ---------------------------------------------------------------------------
 # conditional states: wiretapper joint state per announced record
 # ---------------------------------------------------------------------------
-
-
-def _conditional_states_loop(records, diffs, w, rows, cols, p, ng, table):
-    n_records = records.shape[0]
-    n_pairs, n_vis = diffs.shape
-    out = np.zeros((n_records, ng, ng), dtype=np.complex128)
-    for b in range(n_records):
-        for t in range(n_pairs):
-            e = 0
-            for k in range(n_vis):
-                e += records[b, k] * diffs[t, k]
-            out[b, rows[t], cols[t]] += w[t] * table[e % p]
-    return out
-
-
-if _HAVE_NUMBA:
-    _conditional_states_numba = nb.njit(cache=True)(_conditional_states_loop)
-
-
-def _conditional_states_numpy(records, diffs, w, rows, cols, p, ng, table):
-    n_records = records.shape[0]
-    cells = rows * ng + cols
-    order, starts, labels = _segment_order(cells)
-    expo = np.rint(records.astype(np.float64) @ diffs.astype(np.float64).T)
-    expo = expo.astype(np.int64) % p
-    ph = table[expo] * w[None, :]
-    summed = np.add.reduceat(ph[:, order], starts, axis=1)
-    out = np.zeros((n_records, ng * ng), dtype=np.complex128)
-    out[:, labels] = summed
-    return out.reshape(n_records, ng, ng)
 
 
 def conditional_states(
@@ -281,6 +142,13 @@ def conditional_states(
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     cols = np.ascontiguousarray(cols, dtype=np.int64)
     table = phase_table(p)
-    if active_backend() == "numba":
-        return _conditional_states_numba(records, diffs, w, rows, cols, p, ng, table)
-    return _conditional_states_numpy(records, diffs, w, rows, cols, p, ng, table)
+    n_records = records.shape[0]
+    cells = rows * ng + cols
+    order, starts, labels = _segment_order(cells)
+    expo = np.rint(records.astype(np.float64) @ diffs.astype(np.float64).T)
+    expo = expo.astype(np.int64) % p
+    ph = table[expo] * w[None, :]
+    summed = np.add.reduceat(ph[:, order], starts, axis=1)
+    out = np.zeros((n_records, ng * ng), dtype=np.complex128)
+    out[:, labels] = summed
+    return out.reshape(n_records, ng, ng)

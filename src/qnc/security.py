@@ -28,7 +28,7 @@ import numpy as np
 from .adversary import AttackSpec
 from .classical_code import coefficient_matrix
 from .engine import DensityMatrix, RegisterLayout, trace_distance
-from .kernels import active_backend, conditional_states, record_digits
+from .kernels import conditional_states, record_digits
 from .protocol import (
     ENTANGLED,
     MEASURED_EDGES,
@@ -170,7 +170,6 @@ class SecurityReport:
     record_edges: tuple[int, ...]
     exhaustive: bool
     n_records: int
-    backend: str
     per_branch: list[BranchStat] = field(repr=False)
     probability_total: float = 0.0
     record_uniformity: float = 0.0
@@ -213,7 +212,6 @@ class SecurityReport:
             "record_edges": list(self.record_edges),
             "exhaustive": self.exhaustive,
             "n_records": self.n_records,
-            "backend": self.backend,
             "probability_total": self.probability_total,
             "record_uniformity": self.record_uniformity,
             "product_deviation": self.product_deviation,
@@ -395,7 +393,6 @@ def analyze(
         record_edges=pairs.visible,
         exhaustive=exhaustive,
         n_records=n_records,
-        backend=active_backend(),
         per_branch=stats,
         probability_total=total,
         record_uniformity=uniformity,

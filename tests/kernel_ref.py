@@ -1,0 +1,73 @@
+"""Plain-loop references for the numpy kernels, used solely as a test oracle.
+
+Each function walks records and support terms one at a time with scalar
+arithmetic, sharing nothing with the vectorized reductions in
+``qnc.kernels``, so agreement between the two is meaningful.  They take the
+same arguments as the kernels after input normalization, plus the phase
+table ``qnc.engine.phase_table(p)``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def branch_summary_loop(amp, zmeas, rest_index, h12, h13, weight, group,
+                        n_rest, n_groups, m1, m2, p, table):
+    k_count, n_meas = zmeas.shape
+    n_branches = p**n_meas
+    prob = np.zeros(n_branches, dtype=np.float64)
+    fid = np.zeros(n_branches, dtype=np.float64)
+    digits = np.zeros(n_meas, dtype=np.int64)
+    vec = np.zeros(n_rest, dtype=np.complex128)
+    acc = np.zeros(n_groups, dtype=np.complex128)
+    inv_total = 1.0 / float(n_branches)
+    for b in range(n_branches):
+        for r in range(n_rest):
+            vec[r] = 0.0
+        for i in range(k_count):
+            e = 0
+            for k in range(n_meas):
+                e += digits[k] * zmeas[i, k]
+            vec[rest_index[i]] += amp[i] * table[e % p]
+        norm2 = 0.0
+        for r in range(n_rest):
+            z = vec[r]
+            norm2 += z.real * z.real + z.imag * z.imag
+        r1 = 0
+        r2 = 0
+        for k in range(n_meas):
+            r1 += digits[k] * m1[k]
+            r2 += digits[k] * m2[k]
+        for g in range(n_groups):
+            acc[g] = 0.0
+        for r in range(n_rest):
+            g = group[r]
+            if g >= 0:
+                acc[g] += vec[r] * weight[r] * table[(-(r1 * h12[r] + r2 * h13[r])) % p]
+        overlap = 0.0
+        for g in range(n_groups):
+            z = acc[g]
+            overlap += z.real * z.real + z.imag * z.imag
+        prob[b] = norm2 * inv_total
+        fid[b] = overlap / norm2 if norm2 > 0.0 else 0.0
+        # odometer: advance to the next record, last digit fastest
+        for k in range(n_meas - 1, -1, -1):
+            digits[k] += 1
+            if digits[k] < p:
+                break
+            digits[k] = 0
+    return prob, fid
+
+
+def conditional_states_loop(records, diffs, w, rows, cols, p, ng, table):
+    n_records = records.shape[0]
+    n_pairs, n_vis = diffs.shape
+    out = np.zeros((n_records, ng, ng), dtype=np.complex128)
+    for b in range(n_records):
+        for t in range(n_pairs):
+            e = 0
+            for k in range(n_vis):
+                e += records[b, k] * diffs[t, k]
+            out[b, rows[t], cols[t]] += w[t] * table[e % p]
+    return out

@@ -55,7 +55,7 @@ def attack_suite(p: int = 3) -> list[AttackSpec]:
 
 
 def test_criterion_1_honest_runs_reach_perfect_fidelity(announce):
-    branch_table(ProtocolConfig(p=3))  # warm the jit path outside the budget
+    branch_table(ProtocolConfig(p=3))  # warm the kernels outside the budget
     t0 = time.perf_counter()
     worst = 0.0
 

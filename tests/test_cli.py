@@ -83,6 +83,19 @@ def test_attack_verdict_mismatch_sets_exit_one(capsys):
     assert rc == 1
 
 
+def test_attack_out_of_memory_sets_exit_three(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("pair list of size 5764801 exceeds the cap 5000000")
+
+    monkeypatch.setattr("qnc.cli.analyze", exhausted)
+    rc = run_cli(["attack", "--p", "3", "--edge", "9", "--expect", "secure"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.count("\n") == 1
+    assert err.startswith("error: out of memory: pair list of size 5764801")
+    assert "Traceback" not in err
+
+
 def test_attack_weak_pad_keep_is_insecure(tmp_path, capsys):
     path = tmp_path / "weak.json"
     rc = run_cli(

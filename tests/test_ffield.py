@@ -1,13 +1,6 @@
 import pytest
 
-from qnc.ffield import (
-    FieldElement,
-    FieldMismatchError,
-    PrimeField,
-    inverse_of_two,
-    is_odd_prime,
-    validate_modulus,
-)
+from qnc.ffield import inverse_of_two, is_odd_prime, validate_modulus
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
@@ -23,79 +16,10 @@ def test_non_odd_primes_rejected(p):
         validate_modulus(p)
 
 
-def test_arithmetic_matches_int_mod_p():
-    """Exhaustive check of +, -, * against plain integer arithmetic at p=5."""
-    f = PrimeField(5)
-    for a in range(5):
-        for b in range(5):
-            x, y = f(a), f(b)
-            assert int(x + y) == (a + b) % 5
-            assert int(x - y) == (a - b) % 5
-            assert int(x * y) == (a * b) % 5
-            assert int(-x) == (-a) % 5
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_inverse(p):
-    f = PrimeField(p)
-    for a in range(1, p):
-        assert int(f(a).inv() * f(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        f(0).inv()
-
-
-def test_division_uses_inverse():
-    f = PrimeField(7)
-    assert f(6) / f(3) == f(2)
-    with pytest.raises(ZeroDivisionError):
-        f(1) / f(0)
-
-
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_half_doubles_back(p):
-    f = PrimeField(p)
-    assert inverse_of_two(p) == (p + 1) // 2
-    assert f.half + f.half == f.one
+    half = inverse_of_two(p)
+    assert half == (p + 1) // 2
+    assert (2 * half) % p == 1
     for a in range(p):
-        assert f.half * f(2 * a) == f(a)
-
-
-def test_mixed_moduli_refuse_to_combine():
-    with pytest.raises(FieldMismatchError):
-        FieldElement(1, 3) + FieldElement(1, 5)
-    with pytest.raises(FieldMismatchError):
-        FieldElement(2, 7) * FieldElement(2, 11)
-
-
-def test_int_interop():
-    x = FieldElement(2, 5)
-    assert x + 4 == FieldElement(1, 5)
-    assert 4 + x == FieldElement(1, 5)
-    assert x == 2 and x == -3  # int comparison is mod p
-    assert int(x) == 2
-    assert [10, 20, 30][x] == 30  # __index__
-
-
-def test_pow():
-    f = PrimeField(7)
-    for a in range(1, 7):
-        acc = f.one
-        for k in range(10):
-            assert f(a) ** k == acc
-            acc = acc * f(a)
-    # Fermat: a^(p-1) = 1
-    assert all(f(a) ** 6 == f.one for a in range(1, 7))
-
-
-def test_field_container_protocol():
-    f = PrimeField(5)
-    assert len(f) == 5
-    assert [int(x) for x in f.elements()] == [0, 1, 2, 3, 4]
-    assert f.zero == f(0) and f.one == f(1)
-
-
-def test_element_is_hashable_and_frozen():
-    x = FieldElement(1, 3)
-    assert hash(x) == hash(FieldElement(1, 3))
-    with pytest.raises(AttributeError):
-        x.value = 2
+        assert (half * 2 * a) % p == a

@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
+import kernel_ref
 from qnc import kernels
 from qnc.adversary import keep_and_send_phi0, random_isometry
 from qnc.engine import phase_table
-from qnc.kernels import (
-    active_backend,
-    available_backends,
-    conditional_states,
-    record_digits,
-    record_index,
-    set_backend,
-)
+from qnc.kernels import conditional_states, record_digits, record_index
 from qnc.protocol import (
     MEASURED_EDGES,
     VARIANT_WEAK,
@@ -20,73 +14,6 @@ from qnc.protocol import (
     enumerate_branches,
 )
 from qnc.security import _pair_list
-
-try:
-    import numba  # noqa: F401
-
-    NUMBA_IMPORTS = True
-except ImportError:
-    NUMBA_IMPORTS = False
-
-
-@pytest.fixture(autouse=True)
-def reset_backend():
-    yield
-    set_backend(None)
-
-
-def test_both_backends_are_available_here(monkeypatch):
-    # numba is optional: its backend exists exactly when it imports
-    expected = ("numba", "numpy") if NUMBA_IMPORTS else ("numpy",)
-    assert available_backends() == expected
-    assert "numpy" in available_backends()
-    monkeypatch.setattr(kernels, "_HAVE_NUMBA", False)
-    assert available_backends() == ("numpy",)
-
-
-def test_backend_selection_and_validation(monkeypatch):
-    set_backend("numpy")
-    assert active_backend() == "numpy"
-    if NUMBA_IMPORTS:
-        set_backend("numba")
-        assert active_backend() == "numba"
-    set_backend(None)
-    assert active_backend() in available_backends()
-    with pytest.raises(ValueError):
-        set_backend("fortran")
-    # without numba the default falls back to numpy and numba is refused
-    monkeypatch.delenv("QNC_BACKEND", raising=False)
-    monkeypatch.setattr(kernels, "_HAVE_NUMBA", False)
-    set_backend(None)
-    assert active_backend() == "numpy"
-    with pytest.raises(RuntimeError):
-        set_backend("numba")
-    assert active_backend() == "numpy"
-
-
-def test_environment_variable_backend(monkeypatch):
-    set_backend(None)
-    monkeypatch.setenv("QNC_BACKEND", "numpy")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv("QNC_BACKEND", "cuda")
-    with pytest.raises(ValueError):
-        active_backend()
-    # explicit set_backend wins over the environment
-    set_backend("numpy")
-    assert active_backend() == "numpy"
-    if NUMBA_IMPORTS:
-        set_backend(None)
-        monkeypatch.setenv("QNC_BACKEND", "numba")
-        assert active_backend() == "numba"
-        monkeypatch.setenv("QNC_BACKEND", "numpy")
-        set_backend("numba")
-        assert active_backend() == "numba"
-    # QNC_BACKEND=numba is refused when numba does not import
-    set_backend(None)
-    monkeypatch.setattr(kernels, "_HAVE_NUMBA", False)
-    monkeypatch.setenv("QNC_BACKEND", "numba")
-    with pytest.raises(RuntimeError):
-        active_backend()
 
 
 def test_record_digit_expansion():
@@ -115,8 +42,7 @@ def test_record_index_roundtrip(p):
     ids=["honest", "keep-e9", "haar-e7"],
 )
 def test_branch_summary_backends_agree(cfg):
-    """numpy rows match the literal enumeration; whole table matches numba."""
-    set_backend("numpy")
+    """numpy rows match the literal enumeration."""
     prob_np, fid_np = branch_table(cfg)
     assert prob_np.sum() == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(7)
@@ -130,17 +56,12 @@ def test_branch_summary_backends_agree(cfg):
         (leaf,) = leaves
         assert prob_np[idx] == pytest.approx(leaf.branch_probability, abs=1e-14)
         assert fid_np[idx] == pytest.approx(leaf.fidelity, abs=1e-12)
-    if NUMBA_IMPORTS:
-        set_backend("numba")
-        prob_nb, fid_nb = branch_table(cfg)
-        np.testing.assert_allclose(prob_np, prob_nb, atol=1e-14)
-        np.testing.assert_allclose(fid_np, fid_nb, atol=1e-12)
 
 
 def test_conditional_states_backends_agree():
-    """numpy matches the plain loop (and numba) on a full-pad workload, whose
-    states are record-independent, and on the weak-pad counterexample, whose
-    states vary with the record and so expose phase-sign slips."""
+    """numpy matches the plain loop on a full-pad workload, whose states are
+    record-independent, and on the weak-pad counterexample, whose states vary
+    with the record and so expose phase-sign slips."""
     for cfg in (
         ProtocolConfig(p=3, attack=random_isometry(9, 3, 3, seed=2)),
         ProtocolConfig(p=3, variant=VARIANT_WEAK, attack=keep_and_send_phi0(11, 3)),
@@ -148,19 +69,14 @@ def test_conditional_states_backends_agree():
         pairs = _pair_list(cfg, (0, 1, 2))
         recs = record_digits(3, len(pairs.visible), 100, 140)
         args = (recs, pairs.diffs, pairs.w, pairs.rows, pairs.cols, pairs.p, pairs.n_kept)
-        set_backend("numpy")
         rho_np = conditional_states(*args)
-        rho_loop = kernels._conditional_states_loop(*args, phase_table(3))
+        rho_loop = kernel_ref.conditional_states_loop(*args, phase_table(3))
         np.testing.assert_allclose(rho_np, rho_loop, atol=1e-13)
-        if NUMBA_IMPORTS:
-            set_backend("numba")
-            rho_nb = conditional_states(*args)
-            np.testing.assert_allclose(rho_np, rho_nb, atol=1e-13)
 
 
 def test_conditional_states_tiny_handmade_case():
-    """Two pairs on a 2x2 grid against every backend, the plain loop and a
-    hand expansion."""
+    """Two pairs on a 2x2 grid: the kernel and the plain loop against a hand
+    expansion."""
     table = np.exp(2j * np.pi * np.arange(3) / 3)
     records = np.array([[0, 1], [2, 2]])
     diffs = np.array([[1, 0], [1, 2]])
@@ -172,31 +88,50 @@ def test_conditional_states_tiny_handmade_case():
         for t in range(2):
             e = (records[b] @ diffs[t]) % 3
             expected[b, rows[t], cols[t]] += w[t] * table[e]
-    for backend in available_backends():
-        set_backend(backend)
-        got = conditional_states(records, diffs, w, rows, cols, 3, 2)
-        np.testing.assert_allclose(got, expected, atol=1e-15, err_msg=backend)
-    got = kernels._conditional_states_loop(
+    got = conditional_states(records, diffs, w, rows, cols, 3, 2)
+    np.testing.assert_allclose(got, expected, atol=1e-15, err_msg="numpy")
+    got = kernel_ref.conditional_states_loop(
         records, diffs, w, rows, cols, 3, 2, phase_table(3)
     )
     np.testing.assert_allclose(got, expected, atol=1e-15, err_msg="loop")
 
 
+def _single_rest_summaries(amp, zmeas):
+    """numpy kernel and plain loop on a p = 3 support with one rest index and
+    no matched group, so only the record phase and the norm matter."""
+    amp = np.asarray(amp, dtype=np.complex128)
+    zmeas = np.asarray(zmeas, dtype=np.int64)
+    zero = np.zeros(len(amp), dtype=np.int64)
+    args = (amp, zmeas, zero, zero, zero, np.zeros(len(amp), dtype=np.complex128),
+            np.full(len(amp), -1, dtype=np.int64), 1, 0,
+            np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64), 3)
+    return {
+        "numpy": kernels.branch_summary(*args),
+        "loop": kernel_ref.branch_summary_loop(*args, phase_table(3)),
+    }
+
+
 def test_branch_summary_handles_no_matched_groups():
-    """A support fully orthogonal to the target yields fidelity zero."""
-    amp = np.array([1.0 + 0j])
-    zmeas = np.zeros((1, 2), dtype=np.int64)
-    rest_index = np.zeros(1, dtype=np.int64)
-    h12 = h13 = np.zeros(1, dtype=np.int64)
-    weight = np.zeros(1, dtype=np.complex128)
-    group = np.array([-1], dtype=np.int64)
-    m1 = m2 = np.zeros(2, dtype=np.int64)
-    args = (amp, zmeas, rest_index, h12, h13, weight, group, 1, 0, m1, m2, 3)
-    results = {}
-    for backend in available_backends():
-        set_backend(backend)
-        results[backend] = kernels.branch_summary(*args)
-    results["loop"] = kernels._branch_summary_loop(*args, phase_table(3))
-    for name, (prob, fid) in results.items():
+    """A support fully orthogonal to the target yields fidelity zero, on
+    every record and also on records whose amplitudes cancel."""
+    for name, (prob, fid) in _single_rest_summaries([1.0], [[0, 0]]).items():
         np.testing.assert_allclose(prob, np.full(9, 1 / 9), atol=1e-15, err_msg=name)
+        np.testing.assert_allclose(fid, 0.0, atol=1e-15, err_msg=name)
+
+    # (|00> - |01>)/sqrt2: record (d1, d2) has amplitude (1 - w^d2)/sqrt2, which
+    # cancels exactly at d2 = 0 and has |.|^2 = 3/2 otherwise
+    second = record_digits(3, 2, 0, 9)[:, 1]
+    s = 1 / np.sqrt(2)
+    for name, (prob, fid) in _single_rest_summaries([s, -s], [[0, 0], [0, 1]]).items():
+        assert np.all(prob[second == 0] == 0.0), name
+        assert np.all(fid[second == 0] == 0.0), name
+        np.testing.assert_allclose(prob[second != 0], 1.5 / 9, atol=1e-15, err_msg=name)
+        np.testing.assert_allclose(fid, 0.0, atol=1e-15, err_msg=name)
+
+    # (|00> + i|01>)/sqrt2: 9 prob = |1 + i w^d2|^2 / 2 = 1 - sin(2 pi d2 / 3),
+    # i.e. 1, 0.134, 1.866 for d2 = 0, 1, 2; asymmetric, so a phase-sign flip shows
+    r3 = np.sqrt(3) / 2
+    expected = np.tile([1.0, 1 - r3, 1 + r3], 3) / 9
+    for name, (prob, fid) in _single_rest_summaries([s, 1j * s], [[0, 0], [0, 1]]).items():
+        np.testing.assert_allclose(prob, expected, atol=1e-15, err_msg=name)
         np.testing.assert_allclose(fid, 0.0, atol=1e-15, err_msg=name)

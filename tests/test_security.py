@@ -199,7 +199,6 @@ def test_report_serialization():
         "variant",
         "attack",
         "record_edges",
-        "backend",
         "product_deviation",
         "output_fidelity_under_attack",
         "worst_record",
