@@ -2,9 +2,11 @@
 
 Exit codes: 0 success (or expected verdict), 1 verdict/tolerance failure,
 2 usage error, 3 out of memory (a one-line ``error:`` message on stderr,
-never a traceback).  Seeds fall back to the QNC_SEED environment variable.  All
-floats are emitted with 12 significant digits; JSON output is byte-stable
-for a fixed (config, seed) once --no-timestamp is given.
+never a traceback), 4 internal error (the traceback, then a last line
+``error: internal: <Type>: <message>``).  Seeds fall back to the QNC_SEED
+environment variable.  All floats are emitted with 12 significant digits;
+JSON output is byte-stable for a fixed (config, seed) once --no-timestamp
+is given.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import io
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
@@ -335,6 +338,10 @@ def main(argv=None) -> int:
         # also numpy's allocation failures; kept apart from exit 1 (verdict mismatch)
         detail = " ".join(str(exc).split())
         parser.exit(3, f"error: out of memory{': ' + detail if detail else ''}\n")
+    except Exception as exc:
+        # a bug, not a verdict: kept apart from exit 1 (verdict mismatch)
+        traceback.print_exc()
+        parser.exit(4, f"error: internal: {type(exc).__name__}: {exc}\n")
 
 
 if __name__ == "__main__":

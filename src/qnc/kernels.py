@@ -1,10 +1,20 @@
 """Hot numeric kernels on plain arrays.
 
-The two workloads are (a) sweeping all announced-outcome branches of a
-protocol run to get per-branch probability and output fidelity, and (b)
-assembling the wiretapper's conditional joint states for a batch of
-announced records from a precomputed pair list.  Both are vectorized numpy;
-``tests/kernel_ref.py`` holds the plain loops they are checked against.
+The two workloads are (a) the probability and output fidelity of every one
+of the p^n announced-outcome branches of a protocol run, and (b) the
+wiretapper's conditional joint states for a batch of announced records,
+assembled from a precomputed pair list.
+
+(a) is a difference (delta) spectrum.  A branch's norm is a sum over
+buckets (rest index) of |sum_i a_i w^(r . z_i)|^2 = sum_delta w^(r . delta)
+P_delta, where P_delta sums a_i a_j^* over pairs in one bucket with
+z_i - z_j = delta (mod p); the fidelity overlap has the same form over
+groups at the correction-adjusted positions.  So the cost is the pairs
+within buckets plus p^n per distinct non-zero delta, not records times
+support.  Every protocol support measured, honest or under a single-edge
+attack, has delta = 0 alone, and so a constant table.  (b) is vectorized
+over records x pairs.  ``tests/kernel_ref.py`` holds the plain loops both
+are checked against.
 """
 
 from __future__ import annotations
@@ -33,12 +43,47 @@ def record_index(record: tuple[int, ...] | np.ndarray, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _segment_order(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort order, reduceat starts, and the sorted-unique labels."""
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    starts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
-    return order, starts, sorted_labels[starts]
+def _spectrum(
+    coef: np.ndarray, bucket: np.ndarray, pos: np.ndarray, p: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Difference spectrum of S(r) = sum_b |sum_{i in b} coef_i w^(r . pos_i)|^2.
+
+    Returns (W_0, deltas, W) with S(r) = W_0 + 2 Re sum_k W_k w^(r . deltas_k):
+    entries sharing (bucket, pos) are merged first, W_0 is the sum of the
+    merged |coef|^2, and each pair i < j inside a bucket adds
+    coef_i coef_j^* to the W of its difference pos_i - pos_j (mod p).
+    """
+    place = p ** np.arange(pos.shape[1] - 1, -1, -1, dtype=np.int64)
+    span = p ** pos.shape[1]
+    keys, inv = np.unique(bucket * span + pos @ place, return_inverse=True)
+    merged = np.bincount(inv, coef.real, keys.size) + 1j * np.bincount(inv, coef.imag, keys.size)
+    w0 = float(np.vdot(merged, merged).real)
+    # pairs i < j inside each bucket; keys are sorted, so buckets are runs
+    bucket_of = keys // span
+    later = np.searchsorted(bucket_of, bucket_of, side="right") - np.arange(keys.size) - 1
+    left = np.repeat(np.arange(keys.size), later)
+    right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
+    zdig = (keys[:, None] % span // place) % p
+    dkey = ((zdig[left] - zdig[right]) % p) @ place
+    dkeys, dinv = np.unique(dkey, return_inverse=True)
+    terms = merged[left] * merged[right].conj()
+    w = np.bincount(dinv, terms.real, dkeys.size) + 1j * np.bincount(dinv, terms.imag, dkeys.size)
+    return w0, (dkeys[:, None] // place) % p, w
+
+
+def _evaluate(w0: float, deltas: np.ndarray, w: np.ndarray, p: int, width: int) -> np.ndarray:
+    """W_0 + 2 Re sum_k W_k w^(r . deltas_k) on every record r, lexicographic.
+
+    r . delta mod p is built digit by digit in int8, which holds the sum of
+    two residues for every p < 64, far beyond any p^width table in memory.
+    """
+    out = np.full(p**width, w0)
+    for delta, wk in zip(deltas, w):
+        expo = np.zeros(1, dtype=np.int8)
+        for d in delta:
+            expo = ((expo[:, None] + (np.arange(p) * d % p).astype(np.int8)) % p).ravel()
+        out += (2.0 * wk * phase_table(p)).real[expo]
+    return out
 
 
 def branch_summary(
@@ -66,59 +111,47 @@ def branch_summary(
     and ``group`` collects overlap terms that add coherently (-1 for basis
     states orthogonal to the target).  Records run in lexicographic order,
     first measured wire most significant; probabilities sum to one.
+
+    Both quantities come from ``_spectrum``: p^n prob(r) is the delta sum
+    over the support bucketed by rest index, and the overlap the delta sum
+    of a_i weight[rest_i] bucketed by group (>= 0) at the positions
+    z - h12 m1 - h13 m2.  The cost is O(pairs within buckets + p^n x number
+    of deltas), with no records x support array; records whose norm is
+    zero get fidelity zero.
     """
-    amp = np.ascontiguousarray(amp, dtype=np.complex128)
-    zmeas = np.ascontiguousarray(zmeas, dtype=np.int64) % p
-    rest_index = np.ascontiguousarray(rest_index, dtype=np.int64)
-    h12 = np.ascontiguousarray(h12, dtype=np.int64) % p
-    h13 = np.ascontiguousarray(h13, dtype=np.int64) % p
-    weight = np.ascontiguousarray(weight, dtype=np.complex128)
-    group = np.ascontiguousarray(group, dtype=np.int64)
-    m1 = np.ascontiguousarray(m1, dtype=np.int64) % p
-    m2 = np.ascontiguousarray(m2, dtype=np.int64) % p
-    table = phase_table(p)
-    chunk = 4096
-    n_meas = zmeas.shape[1]
-    n_branches = p**n_meas
-    prob = np.zeros(n_branches, dtype=np.float64)
-    fid = np.zeros(n_branches, dtype=np.float64)
+    amp = np.asarray(amp, dtype=np.complex128)
+    zmeas = np.asarray(zmeas, dtype=np.int64) % p
+    rest_index = np.asarray(rest_index, dtype=np.int64)
+    width = zmeas.shape[1]
+    norm = _evaluate(*_spectrum(amp, rest_index, zmeas, p), p, width)
+    np.maximum(norm, 0.0, out=norm)  # a sum of |.|^2: clip round-off below zero
 
-    r_order, r_starts, r_labels = _segment_order(rest_index)
-    # every rest index occurs, so reduceat columns align with 0..n_rest-1
-    assert r_labels.size == n_rest
+    # overlap terms carry the record phase at z - h12 m1 - h13 m2
+    grp = np.asarray(group, dtype=np.int64)[rest_index]
+    on = grp >= 0
+    rest_on = rest_index[on]
+    shift = np.outer(np.asarray(h12)[rest_on], m1) + np.outer(np.asarray(h13)[rest_on], m2)
+    coef = amp[on] * np.asarray(weight, dtype=np.complex128)[rest_on]
+    overlap = _evaluate(*_spectrum(coef, grp[on], (zmeas[on] - shift) % p, p), p, width)
 
-    matched = np.flatnonzero(group >= 0)
-    if matched.size:
-        g_order, g_starts, _ = _segment_order(group[matched])
-        matched_sorted = matched[g_order]
-        h12m, h13m, wgtm = h12[matched_sorted], h13[matched_sorted], weight[matched_sorted]
-
-    zt = zmeas.astype(np.float64).T
-    for lo in range(0, n_branches, chunk):
-        hi = min(lo + chunk, n_branches)
-        digits = record_digits(p, n_meas, lo, hi)
-        expo = np.rint(digits.astype(np.float64) @ zt).astype(np.int64) % p
-        psi = table[expo] * amp[None, :]
-        vec = np.add.reduceat(psi[:, r_order], r_starts, axis=1)
-        norm2 = np.einsum("br,br->b", vec, vec.conj()).real
-        if matched.size:
-            r1 = (digits @ m1) % p
-            r2 = (digits @ m2) % p
-            corr_expo = (-(r1[:, None] * h12m[None, :] + r2[:, None] * h13m[None, :])) % p
-            contrib = vec[:, matched_sorted] * wgtm[None, :] * table[corr_expo]
-            acc = np.add.reduceat(contrib, g_starts, axis=1)
-            overlap = np.einsum("bg,bg->b", acc, acc.conj()).real
-        else:
-            overlap = np.zeros(hi - lo)
-        prob[lo:hi] = norm2 / n_branches
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fid[lo:hi] = np.where(norm2 > 0.0, overlap / norm2, 0.0)
-    return prob, fid
+    # in place: the two p^n arrays returned are the only ones allocated
+    overlap[norm <= 0.0] = 0.0
+    np.divide(overlap, norm, out=overlap, where=norm > 0.0)
+    norm /= p**width
+    return norm, overlap
 
 
 # ---------------------------------------------------------------------------
 # conditional states: wiretapper joint state per announced record
 # ---------------------------------------------------------------------------
+
+
+def _segment_order(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort order, reduceat starts, and the sorted-unique labels."""
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    starts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
+    return order, starts, sorted_labels[starts]
 
 
 def conditional_states(

@@ -375,8 +375,11 @@ def branch_table(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
 
     The vectorized counterpart of a full ``enumerate_branches`` sweep:
     returns two arrays of length p^9 indexed by the announced record in
-    lexicographic order (first measured wire most significant).  Cross-
-    checked against the generator in the tests.
+    lexicographic order (first measured wire most significant).  The
+    post-transmission support goes to ``kernels.branch_summary``, which sums
+    its difference (delta) spectrum: O(pairs within buckets + p^9 x number
+    of deltas), a constant table when only delta = 0 occurs, as for every
+    honest run.  Cross-checked against the generator in the tests.
     """
     from .kernels import branch_summary
 

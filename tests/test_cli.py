@@ -96,6 +96,18 @@ def test_attack_out_of_memory_sets_exit_three(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_attack_internal_error_sets_exit_four(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("support arrays disagree")
+
+    monkeypatch.setattr("qnc.cli.analyze", broken)
+    rc = run_cli(["attack", "--p", "3", "--edge", "9", "--expect", "secure"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("Traceback")
+    assert err.splitlines()[-1] == "error: internal: RuntimeError: support arrays disagree"
+
+
 def test_attack_weak_pad_keep_is_insecure(tmp_path, capsys):
     path = tmp_path / "weak.json"
     rc = run_cli(

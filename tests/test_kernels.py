@@ -7,6 +7,7 @@ from qnc.adversary import keep_and_send_phi0, random_isometry
 from qnc.engine import phase_table
 from qnc.kernels import conditional_states, record_digits, record_index
 from qnc.protocol import (
+    GIVEN,
     MEASURED_EDGES,
     VARIANT_WEAK,
     ProtocolConfig,
@@ -56,6 +57,60 @@ def test_branch_summary_backends_agree(cfg):
         (leaf,) = leaves
         assert prob_np[idx] == pytest.approx(leaf.branch_probability, abs=1e-14)
         assert fid_np[idx] == pytest.approx(leaf.fidelity, abs=1e-12)
+
+
+def _random_state(rng, p):
+    v = rng.normal(size=p) + 1j * rng.normal(size=p)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: ProtocolConfig(p=5, b1=3, input_mode=GIVEN,
+                                   psi1=_random_state(rng, 5), psi2=_random_state(rng, 5)),
+        lambda rng: ProtocolConfig(p=5, b1=1, attack=random_isometry(7, 5, 5, seed=8)),
+    ],
+    ids=["given", "haar-e7-denv5"],
+)
+def test_branch_table_matches_the_literal_path_at_p5(make):
+    """The p = 5 table (the honest-p5 benchmark shape, and a Haar tap) matches
+    the literal enumeration on spot records."""
+    rng = np.random.default_rng(17)
+    cfg = make(rng)
+    prob, fid = branch_table(cfg)
+    assert prob.sum() == pytest.approx(1.0, abs=1e-12)
+    for idx in rng.choice(cfg.p ** len(MEASURED_EDGES), size=5, replace=False):
+        record = record_digits(cfg.p, len(MEASURED_EDGES), idx, idx + 1)[0]
+        (leaf,) = enumerate_branches(cfg, forced=dict(zip(MEASURED_EDGES, record.tolist())))
+        assert prob[idx] == pytest.approx(leaf.branch_probability, abs=1e-14)
+        assert fid[idx] == pytest.approx(leaf.fidelity, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_branch_summary_matches_the_loop_on_nonzero_differences(p):
+    """Real supports give one difference vector (delta = 0) per bucket, so a
+    synthetic one exercises the rest: every rest index holds four entries
+    with at least two measured values (two entries share one, so they merge),
+    two rest indices sit outside every group, two groups each collect two
+    rest indices, and the weights and sink corrections are non-trivial."""
+    rng = np.random.default_rng(60 + p)
+    n_rest, n_meas = 6, 3
+    rest_index = np.repeat(np.arange(n_rest), 4)
+    zmeas = rng.integers(0, p, size=(rest_index.size, n_meas))
+    zmeas[0::4, 0], zmeas[1::4, 0] = 0, 1
+    zmeas[3::4] = zmeas[2::4]
+    amp = rng.normal(size=rest_index.size) + 1j * rng.normal(size=rest_index.size)
+    amp /= np.linalg.norm(amp)
+    h12, h13 = rng.integers(1, p, size=(2, n_rest))
+    weight = _random_state(rng, n_rest)
+    group = np.array([0, 1, -1, 1, 0, -1])
+    m1, m2 = rng.integers(1, p, size=(2, n_meas))
+    args = (amp, zmeas, rest_index, h12, h13, weight, group, n_rest, 2, m1, m2, p)
+    prob, fid = kernels.branch_summary(*args)
+    prob_ref, fid_ref = kernel_ref.branch_summary_loop(*args, phase_table(p))
+    np.testing.assert_allclose(prob, prob_ref, atol=1e-14)
+    np.testing.assert_allclose(fid, fid_ref, atol=1e-12)
 
 
 def test_conditional_states_backends_agree():
