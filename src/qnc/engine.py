@@ -7,6 +7,15 @@ than the full product space.  The gate set is exactly what the protocol
 needs: affine adders (basis permutations), powers of the diagonal phase
 gate, isometries that split a wire into an environment plus a resent wire,
 and destructive Fourier-basis measurement.
+
+Cost model: the public constructor validates every key and converts keys to
+tuples of Python ints and amplitudes to Python complex; states the gates
+build go through ``SparseState._raw`` and are not validated again.  Per-key
+loops read phases from ``phase_table(d).tolist()``, so no numpy scalar enters
+a key or an amplitude.  A sampled Fourier measurement groups the support by
+the rest of the basis tuple once, takes all d outcome probabilities from that
+(rest x value) array times the Fourier matrix, and then collapses once, onto
+the drawn outcome.
 """
 
 from __future__ import annotations
@@ -126,6 +135,14 @@ class SparseState:
         self.amps = amps
 
     @classmethod
+    def _raw(cls, layout: RegisterLayout, amps: dict[tuple[int, ...], complex]) -> "SparseState":
+        """Wrap a dict the engine built itself: int-tuple keys, complex values, no checks."""
+        state = cls.__new__(cls)
+        state.layout = layout
+        state.amps = amps
+        return state
+
+    @classmethod
     def basis_state(cls, layout: RegisterLayout, values: Sequence[int]) -> "SparseState":
         key = tuple(int(v) % d for v, d in zip(values, layout.dims))
         return cls(layout, {key: 1.0})
@@ -159,7 +176,7 @@ class SparseState:
         n = math.sqrt(self.norm_squared())
         if n == 0.0:
             raise ZeroProbabilityBranch("cannot normalize a zero state")
-        return SparseState(self.layout, {k: a / n for k, a in self.amps.items()}, prune=False)
+        return SparseState._raw(self.layout, {k: a / n for k, a in self.amps.items()})
 
     def inner(self, other: "SparseState") -> complex:
         """<self|other> over the shared layout."""
@@ -214,26 +231,26 @@ class SparseState:
         """
         ti = self.layout.index(target)
         d = self.layout.dim(target)
-        src = [(self.layout.index(n), c % d) for n, c in terms]
+        src = [(self.layout.index(n), int(c) % d) for n, c in terms]
         if any(i == ti for i, _ in src):
             raise LayoutError("adder target cannot be one of its own sources")
+        constant = int(constant)
         out: dict[tuple[int, ...], complex] = {}
         for key, a in self.amps.items():
             shift = constant
             for i, c in src:
                 shift += c * key[i]
-            new = list(key)
-            new[ti] = (key[ti] + shift) % d
-            out[tuple(new)] = a
-        return SparseState(self.layout, out, prune=False)
+            out[key[:ti] + ((key[ti] + shift) % d,) + key[ti + 1:]] = a
+        return SparseState._raw(self.layout, out)
 
     def apply_phase_power(self, name: str, power: int) -> "SparseState":
         """Multiply each basis state by omega^(power * value) on one register."""
         i = self.layout.index(name)
         d = self.layout.dim(name)
-        table = phase_table(d)
+        table = phase_table(d).tolist()
+        power = int(power)
         out = {key: a * table[(power * key[i]) % d] for key, a in self.amps.items()}
-        return SparseState(self.layout, out, prune=False)
+        return SparseState._raw(self.layout, out)
 
     def apply_isometry(
         self, name: str, matrix: np.ndarray, env_name: str = "E"
@@ -253,16 +270,18 @@ class SparseState:
         if not np.allclose(gram, np.eye(d), atol=1e-10):
             raise ValueError("matrix is not an isometry (V†V != I)")
         new_layout = self.layout.appended(env_name, env_dim)
+        # per input value: the (env, wire, entry) triples of its non-negligible column
+        columns = [
+            [(*divmod(int(row), d), complex(matrix[row, v]))
+             for row in np.flatnonzero(np.abs(matrix[:, v]) >= PRUNE_TOL)]
+            for v in range(d)
+        ]
         out: dict[tuple[int, ...], complex] = {}
         for key, a in self.amps.items():
-            col = matrix[:, key[i]]
-            for row in np.flatnonzero(np.abs(col) >= PRUNE_TOL):
-                e, x = divmod(int(row), d)
-                new = list(key)
-                new[i] = x
-                new_key = tuple(new) + (e,)
-                out[new_key] = out.get(new_key, 0.0) + a * col[row]
-        return SparseState(new_layout, out)
+            for e, x, m in columns[key[i]]:
+                new_key = key[:i] + (x,) + key[i + 1:] + (e,)
+                out[new_key] = out.get(new_key, 0.0) + a * m
+        return SparseState._raw(new_layout, {k: a for k, a in out.items() if abs(a) >= PRUNE_TOL})
 
     # -- measurement ---------------------------------------------------
 
@@ -270,17 +289,29 @@ class SparseState:
         """Project onto Fourier-basis outcome and drop the register (unnormalized)."""
         i = self.layout.index(name)
         d = self.layout.dim(name)
-        table = phase_table(d)
+        table = phase_table(d).tolist()
         scale = 1.0 / math.sqrt(d)
         out: dict[tuple[int, ...], complex] = {}
         for key, a in self.amps.items():
             rest = key[:i] + key[i + 1:]
             out[rest] = out.get(rest, 0.0) + a * table[(-outcome * key[i]) % d] * scale
-        return SparseState(self.layout.without(name), out)
+        return SparseState._raw(
+            self.layout.without(name), {k: a for k, a in out.items() if abs(a) >= PRUNE_TOL}
+        )
 
     def x_outcome_probabilities(self, name: str) -> np.ndarray:
+        """All d outcome probabilities: squared column norms of the support,
+        grouped into a (rest x value) array, times the Fourier matrix."""
+        i = self.layout.index(name)
         d = self.layout.dim(name)
-        return np.array([self._collapse_x(name, k).norm_squared() for k in range(d)])
+        rows: dict[tuple[int, ...], int] = {}
+        grid = np.zeros((len(self.amps), d), dtype=complex)
+        for key, a in self.amps.items():
+            grid[rows.setdefault(key[:i] + key[i + 1:], len(rows)), key[i]] = a
+        v = np.arange(d)
+        # column k collapses onto outcome k, as _collapse_x does: omega^(-k v) / sqrt(d)
+        collapsed = grid[: len(rows)] @ (phase_table(d)[(-np.outer(v, v)) % d] / math.sqrt(d))
+        return np.einsum("rk,rk->k", collapsed, collapsed.conj()).real
 
     def measure_x_basis(
         self,
@@ -322,18 +353,20 @@ class SparseState:
         kept_layout = self.layout.subset(keep)
         kept_idx = [self.layout.index(n) for n in keep]
         traced_idx = [i for i in range(len(self.layout)) if i not in kept_idx]
-        dim = kept_layout.total_dim
-        groups: dict[tuple[int, ...], list[tuple[int, complex]]] = {}
-        for key, a in self.amps.items():
-            tkey = tuple(key[i] for i in traced_idx)
-            g = kept_layout.ravel([key[i] for i in kept_idx])
-            groups.setdefault(tkey, []).append((g, a))
-        rho = np.zeros((dim, dim), dtype=complex)
-        for members in groups.values():
-            gi = np.array([g for g, _ in members])
-            av = np.array([a for _, a in members])
-            rho[np.ix_(gi, gi)] += np.outer(av, av.conjugate())
-        return DensityMatrix(kept_layout, rho)
+        keys = np.array(list(self.amps), dtype=np.int64).reshape(-1, len(self.layout))
+
+        def mixed_radix(cols: list[int]) -> np.ndarray:
+            idx = np.zeros(len(keys), dtype=np.int64)
+            for c in cols:
+                idx = idx * self.layout.dims[c] + keys[:, c]
+            return idx
+
+        # one row per traced basis tuple, one column per kept basis index;
+        # each support key fills exactly one cell, so rho = rows^T rows^*
+        _, traced = np.unique(mixed_radix(traced_idx), return_inverse=True)
+        rows = np.zeros((traced.max(initial=-1) + 1, kept_layout.total_dim), dtype=complex)
+        rows[traced, mixed_radix(kept_idx)] = list(self.amps.values())
+        return DensityMatrix(kept_layout, rows.T @ rows.conj())
 
     def __repr__(self) -> str:
         return f"SparseState({self.layout!r}, support={self.support_size})"

@@ -94,8 +94,6 @@ def branch_summary(
     h13: np.ndarray,
     weight: np.ndarray,
     group: np.ndarray,
-    n_rest: int,
-    n_groups: int,
     m1: np.ndarray,
     m2: np.ndarray,
     p: int,

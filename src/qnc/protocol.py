@@ -15,6 +15,7 @@ which each sink wire holds the teleported message wire exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -233,6 +234,19 @@ def step3_measure(
     return state, transcript, probability
 
 
+@lru_cache(maxsize=None)
+def recovery_columns(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The a1 and a2 columns of the honest coefficient matrix on MEASURED_EDGES.
+
+    Cached as int tuples; the matrix itself holds a mutable array.
+    """
+    m = coefficient_matrix(p)
+    return (
+        tuple(int(m.row(e)[0]) for e in MEASURED_EDGES),
+        tuple(int(m.row(e)[1]) for e in MEASURED_EDGES),
+    )
+
+
 def recovery_exponents(transcript: Transcript) -> tuple[int, int]:
     """Per-sink phase correction exponents from the announced outcomes.
 
@@ -240,9 +254,9 @@ def recovery_exponents(transcript: Transcript) -> tuple[int, int]:
     honest coefficient matrix; the scrambling-key column only ever
     contributes a global phase.
     """
-    m = coefficient_matrix(transcript.p)
-    r1 = sum(transcript.outcomes[e] * int(m.row(e)[0]) for e in MEASURED_EDGES)
-    r2 = sum(transcript.outcomes[e] * int(m.row(e)[1]) for e in MEASURED_EDGES)
+    m1, m2 = recovery_columns(transcript.p)
+    r1 = sum(transcript.outcomes[e] * c for e, c in zip(MEASURED_EDGES, m1))
+    r2 = sum(transcript.outcomes[e] * c for e, c in zip(MEASURED_EDGES, m2))
     return r1 % transcript.p, r2 % transcript.p
 
 
@@ -271,13 +285,17 @@ def ideal_output_state(config: ProtocolConfig) -> SparseState:
     return SparseState.from_site_vectors(layout, [config.psi1, config.psi2])
 
 
-def output_fidelity(state: SparseState, config: ProtocolConfig) -> float:
+def output_fidelity(
+    state: SparseState, config: ProtocolConfig, target: SparseState | None = None
+) -> float:
     """Fidelity of the post-recovery state with the ideal output.
 
     Pure overlap when no environment is attached; otherwise the environment
-    is traced out first.
+    is traced out first.  ``target`` is ``ideal_output_state(config)``,
+    built here unless passed in.
     """
-    target = ideal_output_state(config)
+    if target is None:
+        target = ideal_output_state(config)
     if config.attack is None:
         return pure_overlap_fidelity(state, target)
     reduced = state.partial_trace(target.layout.names)
@@ -330,6 +348,7 @@ def enumerate_branches(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     base = step2_transmit(step1_initialize(config), config)
+    target = ideal_output_state(config)
     enumerate_set = set(edges)
 
     def descend(
@@ -344,7 +363,7 @@ def enumerate_branches(
                 final_state=final,
                 transcript=transcript,
                 branch_probability=prob,
-                fidelity=output_fidelity(final, config),
+                fidelity=output_fidelity(final, config, target),
             )
             return
         edge = MEASURED_EDGES[position]
@@ -408,11 +427,6 @@ def branch_table(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
     else:
         weight = (np.asarray(config.psi1)[h12] * np.asarray(config.psi2)[h13]).conj()
         group = env.copy()
-    n_groups = int(group.max()) + 1 if (group >= 0).any() else 0
 
-    m = coefficient_matrix(p)
-    m1 = np.array([int(m.row(e)[0]) for e in MEASURED_EDGES], dtype=np.int64)
-    m2 = np.array([int(m.row(e)[1]) for e in MEASURED_EDGES], dtype=np.int64)
-    return branch_summary(
-        amp, zmeas, rest_index, h12, h13, weight, group, n_rest, n_groups, m1, m2, p
-    )
+    m1, m2 = (np.array(c, dtype=np.int64) for c in recovery_columns(p))
+    return branch_summary(amp, zmeas, rest_index, h12, h13, weight, group, m1, m2, p)

@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .adversary import AttackSpec
-from .classical_code import coefficient_matrix
 from .engine import DensityMatrix, RegisterLayout, trace_distance
 from .kernels import conditional_states, record_digits
 from .protocol import (
@@ -35,6 +34,7 @@ from .protocol import (
     VARIANT_FULL,
     VARIANTS,
     ProtocolConfig,
+    recovery_columns,
     step1_initialize,
     step2_transmit,
     wire,
@@ -460,9 +460,7 @@ def attacked_fidelity(
         raise ValueError("attacked_fidelity requires entangled-halves inputs")
     p = config.p
     b1s = tuple(range(p)) if b1_values is None else tuple(v % p for v in b1_values)
-    m = coefficient_matrix(p)
-    m1 = np.array([int(m.row(e)[0]) for e in MEASURED_EDGES], dtype=np.int64)
-    m2 = np.array([int(m.row(e)[1]) for e in MEASURED_EDGES], dtype=np.int64)
+    m1, m2 = (np.array(c, dtype=np.int64) for c in recovery_columns(p))
 
     total = 0.0
     for b1 in b1s:

@@ -5,6 +5,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+try:
+    from hypothesis import settings
+except ImportError:  # then only tests/test_engine_properties.py fails, at collection
+    pass
+else:
+    # the same examples on every run, no example database, and no per-example
+    # deadline for a machine whose speed drifts
+    settings.register_profile("qnc", derandomize=True, deadline=None, database=None)
+    settings.load_profile("qnc")
+
 
 @pytest.fixture
 def announce(capfd):

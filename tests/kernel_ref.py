@@ -13,8 +13,10 @@ import numpy as np
 
 
 def branch_summary_loop(amp, zmeas, rest_index, h12, h13, weight, group,
-                        n_rest, n_groups, m1, m2, p, table):
+                        m1, m2, p, table):
     k_count, n_meas = zmeas.shape
+    n_rest = len(h12)
+    n_groups = int(np.max(group, initial=-1)) + 1
     n_branches = p**n_meas
     prob = np.zeros(n_branches, dtype=np.float64)
     fid = np.zeros(n_branches, dtype=np.float64)

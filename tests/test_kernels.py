@@ -106,7 +106,7 @@ def test_branch_summary_matches_the_loop_on_nonzero_differences(p):
     weight = _random_state(rng, n_rest)
     group = np.array([0, 1, -1, 1, 0, -1])
     m1, m2 = rng.integers(1, p, size=(2, n_meas))
-    args = (amp, zmeas, rest_index, h12, h13, weight, group, n_rest, 2, m1, m2, p)
+    args = (amp, zmeas, rest_index, h12, h13, weight, group, m1, m2, p)
     prob, fid = kernels.branch_summary(*args)
     prob_ref, fid_ref = kernel_ref.branch_summary_loop(*args, phase_table(p))
     np.testing.assert_allclose(prob, prob_ref, atol=1e-14)
@@ -158,7 +158,7 @@ def _single_rest_summaries(amp, zmeas):
     zmeas = np.asarray(zmeas, dtype=np.int64)
     zero = np.zeros(len(amp), dtype=np.int64)
     args = (amp, zmeas, zero, zero, zero, np.zeros(len(amp), dtype=np.complex128),
-            np.full(len(amp), -1, dtype=np.int64), 1, 0,
+            np.full(len(amp), -1, dtype=np.int64),
             np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64), 3)
     return {
         "numpy": kernels.branch_summary(*args),

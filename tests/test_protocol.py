@@ -230,6 +230,64 @@ def test_pad_choice_never_touches_the_quantum_state():
         )
 
 
+def _golden_state(rng, p):
+    v = rng.normal(size=p) + 1j * rng.normal(size=p)
+    return v / np.linalg.norm(v)
+
+
+_GOLDEN_GIVEN = np.random.default_rng(2024)
+_GOLDEN_PSI = (_golden_state(_GOLDEN_GIVEN, 5), _golden_state(_GOLDEN_GIVEN, 5))
+
+# Seeded run results recorded before the engine's one-pass measurement and
+# unvalidated gate results: (config, announced record in MEASURED_EDGES
+# order, branch probability, fidelity).  The records pin the sampled draws.
+GOLDEN_RUNS = {
+    "entangled-p3-s11": (
+        ProtocolConfig(p=3, b1=1, b2=(2, 0), seed=11),
+        (0, 2, 2, 0, 0, 1, 0, 0, 1), 5.080526342529093e-05, 0.9999999999999998,
+    ),
+    "entangled-p3-s12": (
+        ProtocolConfig(p=3, b1=1, b2=(2, 0), seed=12),
+        (0, 1, 0, 0, 2, 0, 1, 0, 1), 5.080526342529092e-05, 1.0,
+    ),
+    "given-p5-s21": (
+        ProtocolConfig(p=5, b1=3, b2=(1, 4), input_mode=GIVEN, psi1=_GOLDEN_PSI[0],
+                       psi2=_GOLDEN_PSI[1], seed=21),
+        (2, 2, 2, 0, 2, 1, 3, 0, 1), 5.119999999999999e-07, 1.0,
+    ),
+    "given-p5-s22": (
+        ProtocolConfig(p=5, b1=3, b2=(1, 4), input_mode=GIVEN, psi1=_GOLDEN_PSI[0],
+                       psi2=_GOLDEN_PSI[1], seed=22),
+        (4, 0, 0, 2, 3, 1, 1, 1, 0), 5.119999999999997e-07, 0.9999999999999998,
+    ),
+    "keep-phi0-e11-s31": (
+        ProtocolConfig(p=3, b1=2, attack=keep_and_send_phi0(11, 3), variant=VARIANT_WEAK, seed=31),
+        (1, 0, 1, 2, 1, 0, 0, 0, 1), 5.0805263425290904e-05, 0.11111111111111109,
+    ),
+    "keep-phi0-e11-s32": (
+        ProtocolConfig(p=3, b1=2, attack=keep_and_send_phi0(11, 3), variant=VARIANT_WEAK, seed=32),
+        (0, 2, 2, 0, 1, 1, 1, 1, 1), 5.080526342529089e-05, 0.1111111111111111,
+    ),
+    "haar-e7-s41": (
+        ProtocolConfig(p=3, attack=random_isometry(7, 3, 3, seed=5), seed=41),
+        (1, 1, 0, 1, 1, 2, 2, 2, 2), 5.0805263425291e-05, 0.09968009517947034,
+    ),
+    "haar-e7-s42": (
+        ProtocolConfig(p=3, attack=random_isometry(7, 3, 3, seed=5), seed=42),
+        (1, 2, 1, 1, 0, 1, 1, 1, 0), 5.080526342529101e-05, 0.09968009517947045,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_seeded_run_matches_its_recorded_result(name):
+    cfg, record, probability, fidelity = GOLDEN_RUNS[name]
+    res = run(cfg)
+    assert tuple(res.transcript.outcomes[e] for e in MEASURED_EDGES) == record
+    assert res.branch_probability == pytest.approx(probability, rel=1e-12)
+    assert res.fidelity == pytest.approx(fidelity, abs=1e-12)
+
+
 def test_attacked_run_keeps_an_environment():
     cfg = ProtocolConfig(p=3, attack=keep_and_send_phi0(11, 3), seed=3)
     res = run(cfg)
