@@ -10,12 +10,13 @@ and destructive Fourier-basis measurement.
 
 Cost model: the public constructor validates every key and converts keys to
 tuples of Python ints and amplitudes to Python complex; states the gates
-build go through ``SparseState._raw`` and are not validated again.  Per-key
-loops read phases from ``phase_table(d).tolist()``, so no numpy scalar enters
-a key or an amplitude.  A sampled Fourier measurement groups the support by
-the rest of the basis tuple once, takes all d outcome probabilities from that
-(rest x value) array times the Fourier matrix, and then collapses once, onto
-the drawn outcome.
+build go through ``SparseState._raw`` and are not validated again (gates
+that sum amplitudes prune the sums through ``_raw_pruned``).  Per-key loops
+read phases from ``phase_table(d).tolist()``, so no numpy scalar enters a key
+or an amplitude.  A Fourier measurement makes one pass over the support: it
+groups the support by the rest of the basis tuple into a (rest x value)
+array and multiplies by the Fourier matrix.  The squared column norms are
+the d outcome probabilities, and column k is the collapse onto outcome k.
 """
 
 from __future__ import annotations
@@ -42,6 +43,16 @@ class ZeroProbabilityBranch(RuntimeError):
 def phase_table(dim: int) -> np.ndarray:
     """Unit phases exp(2*pi*i*r/dim) for r in [0, dim); exact periodicity."""
     return np.exp(2j * np.pi * np.arange(dim) / dim)
+
+
+@lru_cache(maxsize=None)
+def fourier_matrix(dim: int) -> np.ndarray:
+    """Read-only matrix whose column k is the conjugate of the k-th Fourier
+    basis state: entry (v, k) is omega^(-k v) / sqrt(dim)."""
+    v = np.arange(dim)
+    matrix = phase_table(dim)[(-np.outer(v, v)) % dim] / math.sqrt(dim)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def fourier_basis_state(dim: int, k: int) -> np.ndarray:
@@ -117,19 +128,14 @@ class RegisterLayout:
 class SparseState:
     """Pure state stored as {basis tuple: amplitude}; ops return new states."""
 
-    def __init__(
-        self,
-        layout: RegisterLayout,
-        amplitudes: Mapping[tuple[int, ...], complex],
-        prune: bool = True,
-    ):
+    def __init__(self, layout: RegisterLayout, amplitudes: Mapping[tuple[int, ...], complex]):
         self.layout = layout
         n = len(layout)
         amps: dict[tuple[int, ...], complex] = {}
         for key, a in amplitudes.items():
             if len(key) != n:
                 raise LayoutError(f"basis tuple {key} does not match {n} registers")
-            if prune and abs(a) < PRUNE_TOL:
+            if abs(a) < PRUNE_TOL:
                 continue
             amps[tuple(int(v) for v in key)] = complex(a)
         self.amps = amps
@@ -141,6 +147,11 @@ class SparseState:
         state.layout = layout
         state.amps = amps
         return state
+
+    @classmethod
+    def _raw_pruned(cls, layout: RegisterLayout, amps: Mapping[tuple[int, ...], complex]) -> "SparseState":
+        """``_raw`` for summed amplitudes: drops those below ``PRUNE_TOL`` first."""
+        return cls._raw(layout, {k: a for k, a in amps.items() if abs(a) >= PRUNE_TOL})
 
     @classmethod
     def basis_state(cls, layout: RegisterLayout, values: Sequence[int]) -> "SparseState":
@@ -281,37 +292,25 @@ class SparseState:
             for e, x, m in columns[key[i]]:
                 new_key = key[:i] + (x,) + key[i + 1:] + (e,)
                 out[new_key] = out.get(new_key, 0.0) + a * m
-        return SparseState._raw(new_layout, {k: a for k, a in out.items() if abs(a) >= PRUNE_TOL})
+        return SparseState._raw_pruned(new_layout, out)
 
     # -- measurement ---------------------------------------------------
 
-    def _collapse_x(self, name: str, outcome: int) -> "SparseState":
-        """Project onto Fourier-basis outcome and drop the register (unnormalized)."""
+    def _fourier_projections(self, name: str) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """Group the support once by its rest key into an (n_rest, d) array and
+        multiply by the Fourier matrix.  Column k holds, per rest key, the
+        unnormalized amplitude after outcome k: sum_v a(rest, v) omega^(-k v) / sqrt(d)."""
         i = self.layout.index(name)
-        d = self.layout.dim(name)
-        table = phase_table(d).tolist()
-        scale = 1.0 / math.sqrt(d)
-        out: dict[tuple[int, ...], complex] = {}
-        for key, a in self.amps.items():
-            rest = key[:i] + key[i + 1:]
-            out[rest] = out.get(rest, 0.0) + a * table[(-outcome * key[i]) % d] * scale
-        return SparseState._raw(
-            self.layout.without(name), {k: a for k, a in out.items() if abs(a) >= PRUNE_TOL}
-        )
+        rows: dict[tuple[int, ...], int] = {}
+        row_of = [rows.setdefault(key[:i] + key[i + 1:], len(rows)) for key in self.amps]
+        grid = np.zeros((len(rows), self.layout.dim(name)), dtype=complex)
+        grid[row_of, [key[i] for key in self.amps]] = list(self.amps.values())
+        return list(rows), grid @ fourier_matrix(self.layout.dim(name))
 
     def x_outcome_probabilities(self, name: str) -> np.ndarray:
-        """All d outcome probabilities: squared column norms of the support,
-        grouped into a (rest x value) array, times the Fourier matrix."""
-        i = self.layout.index(name)
-        d = self.layout.dim(name)
-        rows: dict[tuple[int, ...], int] = {}
-        grid = np.zeros((len(self.amps), d), dtype=complex)
-        for key, a in self.amps.items():
-            grid[rows.setdefault(key[:i] + key[i + 1:], len(rows)), key[i]] = a
-        v = np.arange(d)
-        # column k collapses onto outcome k, as _collapse_x does: omega^(-k v) / sqrt(d)
-        collapsed = grid[: len(rows)] @ (phase_table(d)[(-np.outer(v, v)) % d] / math.sqrt(d))
-        return np.einsum("rk,rk->k", collapsed, collapsed.conj()).real
+        """All d outcome probabilities: the squared column norms of the projections."""
+        _, proj = self._fourier_projections(name)
+        return _column_norms_squared(proj)
 
     def measure_x_basis(
         self,
@@ -327,24 +326,32 @@ class SparseState:
         contains the register.
         """
         d = self.layout.dim(name)
+        if outcome is None and rng is None:
+            raise ValueError("measure_x_basis needs either an outcome or an rng")
+        rest, proj = self._fourier_projections(name)
         if outcome is None:
-            if rng is None:
-                raise ValueError("measure_x_basis needs either an outcome or an rng")
-            probs = self.x_outcome_probabilities(name)
+            probs = _column_norms_squared(proj)
             total = probs.sum()
             if total <= 0.0:
                 raise ZeroProbabilityBranch("state has no weight to measure")
             outcome = int(rng.choice(d, p=probs / total))
         outcome = int(outcome) % d
-        collapsed = self._collapse_x(name, outcome)
-        prob = collapsed.norm_squared()
-        if prob < PRUNE_TOL**2:
-            if not allow_zero:
-                raise ZeroProbabilityBranch(
-                    f"outcome {outcome} on {name!r} has probability {prob:.3e}"
-                )
-            return MeasurementResult(outcome, 0.0, collapsed)
-        return MeasurementResult(outcome, prob, collapsed.renormalized())
+        result = _collapse(self.layout.without(name), outcome, rest, proj[:, outcome])
+        if result.probability == 0.0 and not allow_zero:
+            raise ZeroProbabilityBranch(
+                f"outcome {outcome} on {name!r} has probability below {PRUNE_TOL**2:.0e}"
+            )
+        return result
+
+    def measure_x_basis_all(self, name: str) -> list["MeasurementResult"]:
+        """Every Fourier outcome of one register, in order, from one pass.
+
+        Each result is what ``measure_x_basis(name, outcome=k, allow_zero=True)``
+        returns: an outcome of (numerically) zero weight has probability 0.0.
+        """
+        rest, proj = self._fourier_projections(name)
+        layout = self.layout.without(name)
+        return [_collapse(layout, k, rest, proj[:, k]) for k in range(proj.shape[1])]
 
     # -- reductions ----------------------------------------------------
 
@@ -377,6 +384,22 @@ class MeasurementResult:
     outcome: int
     probability: float
     state: SparseState
+
+
+def _column_norms_squared(proj: np.ndarray) -> np.ndarray:
+    return np.einsum("rk,rk->k", proj, proj.conj()).real
+
+
+def _collapse(
+    layout: RegisterLayout, outcome: int, rest: list[tuple[int, ...]], column: np.ndarray
+) -> MeasurementResult:
+    """The branch of one projection column: pruned, then renormalized unless
+    its weight is (numerically) zero, in which case the probability is 0.0."""
+    collapsed = SparseState._raw_pruned(layout, dict(zip(rest, column.tolist())))
+    prob = collapsed.norm_squared()
+    if prob < PRUNE_TOL**2:
+        return MeasurementResult(outcome, 0.0, collapsed)
+    return MeasurementResult(outcome, prob, collapsed.renormalized())
 
 
 class DensityMatrix:

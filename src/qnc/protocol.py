@@ -285,17 +285,13 @@ def ideal_output_state(config: ProtocolConfig) -> SparseState:
     return SparseState.from_site_vectors(layout, [config.psi1, config.psi2])
 
 
-def output_fidelity(
-    state: SparseState, config: ProtocolConfig, target: SparseState | None = None
-) -> float:
-    """Fidelity of the post-recovery state with the ideal output.
+def output_fidelity(state: SparseState, config: ProtocolConfig, target: SparseState) -> float:
+    """Fidelity of the post-recovery state with the ideal output ``target``,
+    which is ``ideal_output_state(config)``.
 
     Pure overlap when no environment is attached; otherwise the environment
-    is traced out first.  ``target`` is ``ideal_output_state(config)``,
-    built here unless passed in.
+    is traced out first.
     """
-    if target is None:
-        target = ideal_output_state(config)
     if config.attack is None:
         return pure_overlap_fidelity(state, target)
     reduced = state.partial_trace(target.layout.names)
@@ -314,7 +310,7 @@ def run(config: ProtocolConfig, rng: np.random.Generator | None = None) -> RunRe
         final_state=state,
         transcript=transcript,
         branch_probability=probability,
-        fidelity=output_fidelity(state, config),
+        fidelity=output_fidelity(state, config, ideal_output_state(config)),
     )
 
 
@@ -368,11 +364,16 @@ def enumerate_branches(
             return
         edge = MEASURED_EDGES[position]
         if edge in enumerate_set or edge in forced:
-            choices = range(config.p) if edge in enumerate_set else (forced[edge],)
-            for announced in choices:
-                result = state.measure_x_basis(
+            if edge in enumerate_set:
+                # all p branches of the edge from one pass over the state
+                results = state.measure_x_basis_all(wire(edge))
+                branches = [(a, results[(-a) % config.p]) for a in range(config.p)]
+            else:
+                announced = forced[edge]
+                branches = [(announced, state.measure_x_basis(
                     wire(edge), outcome=(-announced) % config.p, allow_zero=True
-                )
+                ))]
+            for announced, result in branches:
                 if result.probability == 0.0:
                     continue
                 outcomes[edge] = announced

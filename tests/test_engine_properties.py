@@ -136,6 +136,22 @@ def test_forced_collapse_prunes_the_summed_amplitudes(case):
             assert_pruned_like(res.state, want, 1.0 / math.sqrt(res.probability))
 
 
+@given(measured())
+def test_all_outcomes_from_one_pass_match_the_forced_measurements(case):
+    state, name = case
+    results = state.measure_x_basis_all(name)
+    assert [r.outcome for r in results] == list(range(state.layout.dim(name)))
+    for k, res in enumerate(results):
+        forced = state.measure_x_basis(name, outcome=k, allow_zero=True)
+        assert res.probability == forced.probability
+        assert res.state.layout == state.layout.without(name)
+        assert res.state.amps == forced.state.amps
+        assert_python_typed(res.state)
+        want = collapse_reference(state, name, k)
+        scale = 1.0 if res.probability == 0.0 else 1.0 / math.sqrt(res.probability)
+        assert_pruned_like(res.state, want, scale)
+
+
 @given(states(min_regs=2), st.data())
 def test_gate_outputs_keep_python_int_keys(state, data):
     names = state.layout.names
@@ -177,7 +193,6 @@ def test_public_constructor_validates_converts_and_prunes(state):
     raw = {tuple(np.int64(v) for v in k): np.complex128(a) for k, a in state.amps.items()}
     if zero not in state.amps:
         raw[tuple(np.int64(0) for _ in zero)] = np.complex128(1e-15)
-        assert SparseState(state.layout, raw, prune=False).amps[zero] == 1e-15
     rebuilt = SparseState(state.layout, raw)
     assert_python_typed(rebuilt)
     assert rebuilt.amps == state.amps

@@ -425,4 +425,4 @@ def test_branch_table_matches_the_generator_on_spot_records(cfg):
 def test_output_fidelity_requires_matching_mode():
     cfg = ProtocolConfig(p=3)
     st = ideal_output_state(cfg)
-    assert output_fidelity(st, cfg) == pytest.approx(1.0)
+    assert output_fidelity(st, cfg, st) == pytest.approx(1.0)
