@@ -399,7 +399,10 @@ def _collapse(
     prob = collapsed.norm_squared()
     if prob < PRUNE_TOL**2:
         return MeasurementResult(outcome, 0.0, collapsed)
-    return MeasurementResult(outcome, prob, collapsed.renormalized())
+    n = math.sqrt(prob)
+    return MeasurementResult(
+        outcome, prob, SparseState._raw(layout, {k: a / n for k, a in collapsed.amps.items()})
+    )
 
 
 class DensityMatrix:

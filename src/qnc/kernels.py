@@ -1,20 +1,27 @@
-"""Hot numeric kernels on plain arrays.
+"""Hot numeric kernels on plain arrays, built on one difference (delta) spectrum.
 
-The two workloads are (a) the probability and output fidelity of every one
-of the p^n announced-outcome branches of a protocol run, and (b) the
-wiretapper's conditional joint states for a batch of announced records,
-assembled from a precomputed pair list.
+Both workloads are record-indexed sums of squares over a support list: (a)
+the probability and output fidelity of every one of the p^n announced-outcome
+branches of a protocol run, and (b) the wiretapper's conditional joint state
+for a batch of announced records.  Each has the form
 
-(a) is a difference (delta) spectrum.  A branch's norm is a sum over
-buckets (rest index) of |sum_i a_i w^(r . z_i)|^2 = sum_delta w^(r . delta)
-P_delta, where P_delta sums a_i a_j^* over pairs in one bucket with
-z_i - z_j = delta (mod p); the fidelity overlap has the same form over
-groups at the correction-adjusted positions.  So the cost is the pairs
-within buckets plus p^n per distinct non-zero delta, not records times
-support.  Every protocol support measured, honest or under a single-edge
-attack, has delta = 0 alone, and so a constant table.  (b) is vectorized
-over records x pairs.  ``tests/kernel_ref.py`` holds the plain loops both
-are checked against.
+    rho(r) = sum_b v_b v_b^+,  v_b = sum_{i in b} coef_i w^(r . pos_i) e_{kept_i},
+
+with buckets b, positions pos (announced values) and vectors of length m.
+``spectrum`` merges entries sharing (bucket, pos) into rows A, then
+rho(r) = Omega_0 + sum_k (w^(r . delta_k) Omega_k + h.c.), where
+Omega_0 = sum A A^+ and each pair i < j of rows in one bucket adds A_i A_j^+
+to the Omega of its difference delta = pos_i - pos_j (mod p).  So the cost is
+one gemm plus the pairs within buckets, never records x support.
+
+(a) is the scalar case m = 1: buckets are rest indices (or overlap groups)
+and ``_evaluate`` sums the spectrum over all p^n records at once.  (b) has
+buckets = traced groups and coefficient a_i e_kept_i, m = p^2 d_env;
+``conditional_states`` evaluates it for a batch of records.  Every protocol
+support measured gives (a) delta = 0 alone, so a constant table; in (b) the
+full pad gives delta = 0 alone, so record-independent states, while taps on
+the weak pad's edge 11 carry non-zero deltas.  ``tests/kernel_ref.py`` holds
+the plain loops both are checked against.
 """
 
 from __future__ import annotations
@@ -39,25 +46,32 @@ def record_index(record: tuple[int, ...] | np.ndarray, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# branch summary: probability and target fidelity for every announced record
+# the difference spectrum shared by both workloads
 # ---------------------------------------------------------------------------
 
 
-def _spectrum(
-    coef: np.ndarray, bucket: np.ndarray, pos: np.ndarray, p: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Difference spectrum of S(r) = sum_b |sum_{i in b} coef_i w^(r . pos_i)|^2.
+def spectrum(
+    coef: np.ndarray,
+    bucket: np.ndarray,
+    pos: np.ndarray,
+    kept: np.ndarray,
+    m: int,
+    p: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Difference spectrum of rho(r) = sum_b v_b v_b^+ (see the module docstring).
 
-    Returns (W_0, deltas, W) with S(r) = W_0 + 2 Re sum_k W_k w^(r . deltas_k):
-    entries sharing (bucket, pos) are merged first, W_0 is the sum of the
-    merged |coef|^2, and each pair i < j inside a bucket adds
-    coef_i coef_j^* to the W of its difference pos_i - pos_j (mod p).
+    Entry i adds coef_i at index kept_i of the length-m row of its
+    (bucket, pos).  Returns (Omega_0, deltas, Omega) with
+    rho(r) = Omega_0 + sum_k (w^(r . deltas_k) Omega_k + h.c.), Omega_0 and each
+    Omega_k being m x m; every delta is non-zero.
     """
     place = p ** np.arange(pos.shape[1] - 1, -1, -1, dtype=np.int64)
     span = p ** pos.shape[1]
     keys, inv = np.unique(bucket * span + pos @ place, return_inverse=True)
-    merged = np.bincount(inv, coef.real, keys.size) + 1j * np.bincount(inv, coef.imag, keys.size)
-    w0 = float(np.vdot(merged, merged).real)
+    slot, size = inv * m + kept, keys.size * m
+    rows = np.bincount(slot, coef.real, size) + 1j * np.bincount(slot, coef.imag, size)
+    rows = rows.reshape(keys.size, m)
+    omega0 = rows.T @ rows.conj()
     # pairs i < j inside each bucket; keys are sorted, so buckets are runs
     bucket_of = keys // span
     later = np.searchsorted(bucket_of, bucket_of, side="right") - np.arange(keys.size) - 1
@@ -66,9 +80,28 @@ def _spectrum(
     zdig = (keys[:, None] % span // place) % p
     dkey = ((zdig[left] - zdig[right]) % p) @ place
     dkeys, dinv = np.unique(dkey, return_inverse=True)
-    terms = merged[left] * merged[right].conj()
-    w = np.bincount(dinv, terms.real, dkeys.size) + 1j * np.bincount(dinv, terms.imag, dkeys.size)
-    return w0, (dkeys[:, None] // place) % p, w
+    # one gemm per distinct difference, over that difference's pairs
+    order = np.argsort(dinv, kind="stable")
+    ends = np.cumsum(np.bincount(dinv, minlength=dkeys.size))
+    omega = np.empty((dkeys.size, m, m), dtype=np.complex128)
+    for k, (lo, hi) in enumerate(zip(np.r_[0, ends[:-1]], ends)):
+        pairs = order[lo:hi]
+        omega[k] = rows[left[pairs]].T @ rows[right[pairs]].conj()
+    return omega0, (dkeys[:, None] // place) % p, omega
+
+
+# ---------------------------------------------------------------------------
+# branch summary: probability and target fidelity for every announced record
+# ---------------------------------------------------------------------------
+
+
+def _scalar_spectrum(
+    coef: np.ndarray, bucket: np.ndarray, pos: np.ndarray, p: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """``spectrum`` with m = 1, as (W_0, deltas, W) scalars."""
+    zero = np.zeros(coef.size, dtype=np.int64)
+    omega0, deltas, omega = spectrum(coef, bucket, pos, zero, 1, p)
+    return float(omega0[0, 0].real), deltas, omega[:, 0, 0]
 
 
 def _evaluate(w0: float, deltas: np.ndarray, w: np.ndarray, p: int, width: int) -> np.ndarray:
@@ -110,18 +143,18 @@ def branch_summary(
     states orthogonal to the target).  Records run in lexicographic order,
     first measured wire most significant; probabilities sum to one.
 
-    Both quantities come from ``_spectrum``: p^n prob(r) is the delta sum
-    over the support bucketed by rest index, and the overlap the delta sum
-    of a_i weight[rest_i] bucketed by group (>= 0) at the positions
-    z - h12 m1 - h13 m2.  The cost is O(pairs within buckets + p^n x number
-    of deltas), with no records x support array; records whose norm is
-    zero get fidelity zero.
+    Both quantities come from ``spectrum`` with m = 1: p^n prob(r) is the
+    delta sum over the support bucketed by rest index, and the overlap the
+    delta sum of a_i weight[rest_i] bucketed by group (>= 0) at the
+    positions z - h12 m1 - h13 m2.  The cost is O(pairs within buckets +
+    p^n x number of deltas), with no records x support array; records whose
+    norm is zero get fidelity zero.
     """
     amp = np.asarray(amp, dtype=np.complex128)
     zmeas = np.asarray(zmeas, dtype=np.int64) % p
     rest_index = np.asarray(rest_index, dtype=np.int64)
     width = zmeas.shape[1]
-    norm = _evaluate(*_spectrum(amp, rest_index, zmeas, p), p, width)
+    norm = _evaluate(*_scalar_spectrum(amp, rest_index, zmeas, p), p, width)
     np.maximum(norm, 0.0, out=norm)  # a sum of |.|^2: clip round-off below zero
 
     # overlap terms carry the record phase at z - h12 m1 - h13 m2
@@ -130,7 +163,7 @@ def branch_summary(
     rest_on = rest_index[on]
     shift = np.outer(np.asarray(h12)[rest_on], m1) + np.outer(np.asarray(h13)[rest_on], m2)
     coef = amp[on] * np.asarray(weight, dtype=np.complex128)[rest_on]
-    overlap = _evaluate(*_spectrum(coef, grp[on], (zmeas[on] - shift) % p, p), p, width)
+    overlap = _evaluate(*_scalar_spectrum(coef, grp[on], (zmeas[on] - shift) % p, p), p, width)
 
     # in place: the two p^n arrays returned are the only ones allocated
     overlap[norm <= 0.0] = 0.0
@@ -144,42 +177,24 @@ def branch_summary(
 # ---------------------------------------------------------------------------
 
 
-def _segment_order(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort order, reduceat starts, and the sorted-unique labels."""
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    starts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
-    return order, starts, sorted_labels[starts]
-
-
 def conditional_states(
     records: np.ndarray,
+    omega0: np.ndarray,
     diffs: np.ndarray,
-    w: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
+    omega: np.ndarray,
     p: int,
-    ng: int,
 ) -> np.ndarray:
     """Unnormalized conditional joint states for a batch of records.
 
-    The pair list encodes rho_record[rows[t], cols[t]] +=
-    w[t] * omega^(record . diffs[t]); the trace of each output times the
-    uniform announcement weight is the record's probability.
+    rho_r = Omega_0 + sum_k (w^(r . diffs_k) Omega_k + h.c.), the spectrum
+    ``spectrum`` builds; the trace of each output times the uniform
+    announcement weight is the record's probability.
     """
-    records = np.ascontiguousarray(records, dtype=np.int64) % p
-    diffs = np.ascontiguousarray(diffs, dtype=np.int64) % p
-    w = np.ascontiguousarray(w, dtype=np.complex128)
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    cols = np.ascontiguousarray(cols, dtype=np.int64)
-    table = phase_table(p)
-    n_records = records.shape[0]
-    cells = rows * ng + cols
-    order, starts, labels = _segment_order(cells)
-    expo = np.rint(records.astype(np.float64) @ diffs.astype(np.float64).T)
-    expo = expo.astype(np.int64) % p
-    ph = table[expo] * w[None, :]
-    summed = np.add.reduceat(ph[:, order], starts, axis=1)
-    out = np.zeros((n_records, ng * ng), dtype=np.complex128)
-    out[:, labels] = summed
-    return out.reshape(n_records, ng, ng)
+    records = np.asarray(records, dtype=np.int64) % p
+    out = np.repeat(omega0[None], records.shape[0], axis=0)
+    if len(diffs):
+        phase = phase_table(p)[(records @ np.asarray(diffs, dtype=np.int64).T) % p]
+        part = (phase @ omega.reshape(len(diffs), -1)).reshape(out.shape)
+        out += part
+        out += part.conj().transpose(0, 2, 1)
+    return out

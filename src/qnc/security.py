@@ -8,6 +8,15 @@ as a uniform classical mixture and the sink-side registers traced out (the
 recovery step acts only on traced registers, so omitting it changes
 nothing; a test exercises the slow path with recovery applied to confirm).
 
+The states come from one difference spectrum (``kernels.spectrum``): the
+support is bucketed by traced group (hidden wires, sink wires, key) with the
+visible record digits as positions and a_i e_kept_i as coefficients, so
+rho_r = Omega_0 + sum_delta (w^(r . delta) Omega_delta + h.c.) over the
+non-zero record differences delta inside a group.  On every full-pad input
+measured only delta = 0 occurs, so every state is Omega_0.  Memory is the
+spectrum, m x m per delta with m = p^2 d_env, plus one batch of records
+sized to ``_BATCH_BYTES``.
+
 Security holds when each conditional state is the fixed product
 (I / p^2) tensor (total environment leak / p), and the record distribution
 is uniform.  ``verify_independence`` certifies this with a cheap Frobenius
@@ -27,7 +36,7 @@ import numpy as np
 
 from .adversary import AttackSpec
 from .engine import DensityMatrix, RegisterLayout, trace_distance
-from .kernels import conditional_states, record_digits
+from .kernels import conditional_states, record_digits, spectrum
 from .protocol import (
     ENTANGLED,
     MEASURED_EDGES,
@@ -42,8 +51,9 @@ from .protocol import (
 
 DEFAULT_RECORD_CAP = 3**8
 DEFAULT_SAMPLES = 512
-PAIR_CAP = 5_000_000
-_CHUNK = 256
+# bytes of one batch of conditional states (records x n_kept^2 complex);
+# analyze holds a few arrays of this size at once
+_BATCH_BYTES = 4 << 20
 
 
 def visible_edges(variant: str) -> tuple[int, ...]:
@@ -59,92 +69,56 @@ def expected_environment_state(attack: AttackSpec) -> np.ndarray:
     return attack.total_leak() / attack.p
 
 
-def _support_arrays(
+def _wiretap_support(
     config: ProtocolConfig, b1_values: Sequence[int]
-) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
-    """Concatenated post-transmission support over the key mixture.
-
-    Returns (amplitudes, per-register value columns, key column); amplitudes
-    carry the 1/sqrt(len(b1_values)) mixture weight.
-    """
-    amps: list[np.ndarray] = []
-    columns: dict[str, list[np.ndarray]] = {}
-    key_col: list[np.ndarray] = []
-    scale = 1.0 / math.sqrt(len(b1_values))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Post-transmission support over the key mixture, as the wiretapper's
+    states see it: (amplitudes, visible record digits, kept index over
+    (ref1, ref2, E), traced group).  Amplitudes carry the
+    1/sqrt(len(b1_values)) mixture weight; a traced group shares the hidden
+    wires, the sink wires and the key."""
+    p = config.p
+    vis = visible_edges(config.variant)
+    traced_names = [wire(e) for e in MEASURED_EDGES if e not in vis] + [wire(12), wire(13)]
+    amps, zvis, kept, traced = [], [], [], []
     for b1 in b1_values:
         cfg = replace(config, b1=b1)
         state = step2_transmit(step1_initialize(cfg), cfg)
-        amps.append(np.array(list(state.amps.values()), dtype=np.complex128) * scale)
-        for name in state.layout.names:
-            columns.setdefault(name, []).append(state.value_column(name))
-        key_col.append(np.full(len(state.amps), b1, dtype=np.int64))
-    return (
-        np.concatenate(amps),
-        {name: np.concatenate(cols) for name, cols in columns.items()},
-        np.concatenate(key_col),
-    )
+        col = state.value_column
+        amps.append(np.array(list(state.amps.values()), dtype=np.complex128))
+        zvis.append(np.stack([col(wire(e)) for e in vis], axis=1))
+        kept.append((col("ref1") * p + col("ref2")) * config.attack.d_env + col("E"))
+        key = np.full(state.support_size, b1, dtype=np.int64)
+        traced.append(np.stack([col(n) for n in traced_names] + [key], axis=1))
+    _, group = np.unique(np.concatenate(traced), axis=0, return_inverse=True)
+    amp = np.concatenate(amps) * (1.0 / math.sqrt(len(b1_values)))
+    return amp, np.concatenate(zvis), np.concatenate(kept), group.ravel()
 
 
 @dataclass(frozen=True)
-class _PairData:
-    """Pair list driving per-record state assembly (see kernels)."""
+class _WiretapSpectrum:
+    """The conditional states' delta spectrum (see ``kernels.spectrum``)."""
 
     p: int
-    d_env: int
-    n_kept: int
     visible: tuple[int, ...]
-    diffs: np.ndarray = field(repr=False)
-    w: np.ndarray = field(repr=False)
-    rows: np.ndarray = field(repr=False)
-    cols: np.ndarray = field(repr=False)
     kept_layout: RegisterLayout = field(repr=False)
+    omega0: np.ndarray = field(repr=False)
+    diffs: np.ndarray = field(repr=False)
+    omega: np.ndarray = field(repr=False)
+
+    def states(self, records: np.ndarray) -> np.ndarray:
+        return conditional_states(records, self.omega0, self.diffs, self.omega, self.p)
 
 
-def _pair_list(config: ProtocolConfig, b1_values: Sequence[int]) -> _PairData:
+def _wiretap_spectrum(config: ProtocolConfig, b1_values: Sequence[int]) -> _WiretapSpectrum:
     p = config.p
-    attack = config.attack
-    assert attack is not None
-    amp, cols, key_col = _support_arrays(config, b1_values)
-    d_env = attack.d_env
-    n_kept = p * p * d_env
-    kept = (cols["ref1"] * p + cols["ref2"]) * d_env + cols["E"]
-
-    vis = visible_edges(config.variant)
-    zvis = np.stack([cols[wire(e)] for e in vis], axis=1)
-    hidden_wires = [wire(e) for e in MEASURED_EDGES if e not in vis]
-    traced = np.stack(
-        [cols[n] for n in hidden_wires + [wire(12), wire(13)]] + [key_col], axis=1
-    )
-    _, group_of = np.unique(traced, axis=0, return_inverse=True)
-
-    order = np.argsort(group_of, kind="stable")
-    sorted_groups = group_of[order]
-    starts = np.flatnonzero(np.r_[True, sorted_groups[1:] != sorted_groups[:-1]])
-    bounds = np.r_[starts, sorted_groups.size]
-    sizes = np.diff(bounds)
-    n_pairs = int((sizes.astype(np.int64) ** 2).sum())
-    if n_pairs > PAIR_CAP:
-        raise MemoryError(f"pair list of size {n_pairs} exceeds the cap {PAIR_CAP}")
-
-    ii = np.empty(n_pairs, dtype=np.int64)
-    jj = np.empty(n_pairs, dtype=np.int64)
-    at = 0
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        members = order[s:e]
-        n = members.size
-        ii[at : at + n * n] = np.repeat(members, n)
-        jj[at : at + n * n] = np.tile(members, n)
-        at += n * n
-    return _PairData(
-        p=p,
-        d_env=d_env,
-        n_kept=n_kept,
-        visible=vis,
-        diffs=(zvis[ii] - zvis[jj]) % p,
-        w=amp[ii] * amp[jj].conj(),
-        rows=kept[ii],
-        cols=kept[jj],
-        kept_layout=RegisterLayout([("ref1", p), ("ref2", p), ("E", d_env)]),
+    layout = RegisterLayout([("ref1", p), ("ref2", p), ("E", config.attack.d_env)])
+    amp, zvis, kept, group = _wiretap_support(config, b1_values)
+    return _WiretapSpectrum(
+        p,
+        visible_edges(config.variant),
+        layout,
+        *spectrum(amp, group, zvis, kept, layout.total_dim, p),
     )
 
 
@@ -184,24 +158,21 @@ class SecurityReport:
     worst_record: tuple[int, ...] = ()
     worst_conditional: DensityMatrix = field(default=None, repr=False)  # type: ignore[assignment]
     elapsed_seconds: float = 0.0
-    _pairs: _PairData = field(default=None, repr=False)  # type: ignore[assignment]
+    _spectrum: _WiretapSpectrum = field(default=None, repr=False)  # type: ignore[assignment]
 
     def conditional(self, record: Sequence[int]) -> DensityMatrix:
         """Exact conditional joint state for one announced record."""
         rec = np.asarray([record], dtype=np.int64)
         if rec.shape != (1, len(self.record_edges)):
             raise ValueError(f"record must have {len(self.record_edges)} entries")
-        pd = self._pairs
-        rho = conditional_states(rec, pd.diffs, pd.w, pd.rows, pd.cols, pd.p, pd.n_kept)[0]
+        rho = self._spectrum.states(rec)[0]
         tr = float(np.trace(rho).real)
         if tr <= 0.0:
             raise ValueError(f"record {tuple(record)} has zero probability")
-        return DensityMatrix(pd.kept_layout, rho / tr)
+        return DensityMatrix(self._spectrum.kept_layout, rho / tr)
 
     def record_probability(self, record: Sequence[int]) -> float:
-        pd = self._pairs
-        rec = np.asarray([record], dtype=np.int64)
-        rho = conditional_states(rec, pd.diffs, pd.w, pd.rows, pd.cols, pd.p, pd.n_kept)[0]
+        rho = self._spectrum.states(np.asarray([record], dtype=np.int64))[0]
         return float(np.trace(rho).real) * float(self.p) ** (-len(self.record_edges))
 
     def to_json(self) -> dict:
@@ -268,26 +239,27 @@ def analyze(
     t0 = time.perf_counter()
     p = config.p
     b1s = tuple(range(p)) if b1_values is None else tuple(v % p for v in b1_values)
-    pairs = _pair_list(config, b1s)
-    n_vis = len(pairs.visible)
+    spec = _wiretap_spectrum(config, b1s)
+    n_vis = len(spec.visible)
     n_all = p**n_vis
     exhaustive = n_all <= record_cap
+    d_env = config.attack.d_env
+    ng = spec.kept_layout.total_dim
+    batch = max(1, _BATCH_BYTES // (16 * ng * ng))
 
     if exhaustive:
         n_records = n_all
         def chunks():
-            for lo in range(0, n_all, _CHUNK):
-                yield record_digits(p, n_vis, lo, min(lo + _CHUNK, n_all))
+            for lo in range(0, n_all, batch):
+                yield record_digits(p, n_vis, lo, min(lo + batch, n_all))
     else:
         rng = np.random.default_rng(sample_seed)
         sampled = rng.integers(0, p, size=(n_samples, n_vis), dtype=np.int64)
         n_records = n_samples
         def chunks():
-            for lo in range(0, n_samples, _CHUNK):
-                yield sampled[lo : lo + _CHUNK]
+            for lo in range(0, n_samples, batch):
+                yield sampled[lo : lo + batch]
 
-    d_env = pairs.d_env
-    ng = pairs.n_kept
     eve_ref = expected_environment_state(config.attack)
     expected = np.kron(np.eye(p * p) / (p * p), eve_ref)
     ref_expected = np.eye(p * p) / (p * p)
@@ -302,7 +274,7 @@ def analyze(
     uniform_prob = 1.0 / n_all
 
     for recs in chunks():
-        rho = conditional_states(recs, pairs.diffs, pairs.w, pairs.rows, pairs.cols, p, ng)
+        rho = spec.states(recs)
         tr = np.einsum("bii->b", rho).real
         prob = tr * float(p) ** (-n_vis)
         herm_err = max(herm_err, float(np.abs(rho - rho.conj().transpose(0, 2, 1)).max()))
@@ -364,8 +336,7 @@ def analyze(
         return max(best, remaining_bound, 0.0), best_idx
 
     def rho_at(idx: int) -> np.ndarray:
-        rec = recs_all[idx : idx + 1]
-        m = conditional_states(rec, pairs.diffs, pairs.w, pairs.rows, pairs.cols, p, ng)[0]
+        m = spec.states(recs_all[idx : idx + 1])[0]
         tr = float(np.trace(m).real)
         return m / tr if tr > 0 else m
 
@@ -390,7 +361,7 @@ def analyze(
         p=p,
         variant=config.variant,
         attack=config.attack,
-        record_edges=pairs.visible,
+        record_edges=spec.visible,
         exhaustive=exhaustive,
         n_records=n_records,
         per_branch=stats,
@@ -402,7 +373,7 @@ def analyze(
         hermiticity_error=herm_err,
         eve_reference_state=eve_ref,
         worst_record=stats[worst_idx].record,
-        _pairs=pairs,
+        _spectrum=spec,
     )
     report.worst_conditional = report.conditional(report.worst_record)
     report.anchor_record = (0,) * n_vis

@@ -2,9 +2,12 @@
 
 Each function walks records and support terms one at a time with scalar
 arithmetic, sharing nothing with the vectorized reductions in
-``qnc.kernels``, so agreement between the two is meaningful.  They take the
-same arguments as the kernels after input normalization, plus the phase
-table ``qnc.engine.phase_table(p)``.
+``qnc.kernels``, so agreement between the two is meaningful.
+``branch_summary_loop`` takes the arguments of ``kernels.branch_summary``
+after input normalization; ``conditional_states_loop`` takes the support
+that ``kernels.spectrum`` turns into the arguments of
+``kernels.conditional_states``.  Both take the phase table
+``qnc.engine.phase_table(p)`` last.
 """
 
 from __future__ import annotations
@@ -62,14 +65,22 @@ def branch_summary_loop(amp, zmeas, rest_index, h12, h13, weight, group,
     return prob, fid
 
 
-def conditional_states_loop(records, diffs, w, rows, cols, p, ng, table):
+def conditional_states_loop(records, amp, zvis, kept, group, p, m, table):
+    """rho_r = sum over groups g of v_g v_g^+, v_g = sum_{i in g} a_i w^(r . z_i) e_kept_i,
+    straight from the support: no pairs and no differences."""
     n_records = records.shape[0]
-    n_pairs, n_vis = diffs.shape
-    out = np.zeros((n_records, ng, ng), dtype=np.complex128)
+    n_support, n_vis = zvis.shape
+    n_groups = int(np.max(group, initial=-1)) + 1
+    out = np.zeros((n_records, m, m), dtype=np.complex128)
     for b in range(n_records):
-        for t in range(n_pairs):
+        vec = np.zeros((n_groups, m), dtype=np.complex128)
+        for i in range(n_support):
             e = 0
             for k in range(n_vis):
-                e += records[b, k] * diffs[t, k]
-            out[b, rows[t], cols[t]] += w[t] * table[e % p]
+                e += records[b, k] * zvis[i, k]
+            vec[group[i], kept[i]] += amp[i] * table[e % p]
+        for g in range(n_groups):
+            for x in range(m):
+                for y in range(m):
+                    out[b, x, y] += vec[g, x] * vec[g, y].conjugate()
     return out

@@ -83,6 +83,16 @@ def test_attack_verdict_mismatch_sets_exit_one(capsys):
     assert rc == 1
 
 
+def test_attack_at_p5_with_the_default_environment_fits(capsys):
+    """p = 5 with d_env = 25 once needed GiB-sized record batches."""
+    rc = run_cli(
+        ["attack", "--p", "5", "--edge", "9", "--sample", "8",
+         "--expect", "secure", "--no-timestamp"]
+    )
+    capsys.readouterr()
+    assert rc == 0
+
+
 def test_attack_out_of_memory_sets_exit_three(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError("pair list of size 5764801 exceeds the cap 5000000")

@@ -14,7 +14,7 @@ from qnc.protocol import (
     branch_table,
     enumerate_branches,
 )
-from qnc.security import _pair_list
+from qnc.security import _wiretap_support
 
 
 def test_record_digit_expansion():
@@ -113,41 +113,57 @@ def test_branch_summary_matches_the_loop_on_nonzero_differences(p):
     np.testing.assert_allclose(fid, fid_ref, atol=1e-12)
 
 
+def _states(support, records, p, m):
+    """The numpy path: the support's spectrum, evaluated on the records."""
+    amp, zvis, kept, group = support
+    omega0, diffs, omega = kernels.spectrum(amp, group, zvis, kept, m, p)
+    return conditional_states(records, omega0, diffs, omega, p), len(diffs)
+
+
 def test_conditional_states_backends_agree():
-    """numpy matches the plain loop on a full-pad workload, whose states are
-    record-independent, and on the weak-pad counterexample, whose states vary
-    with the record and so expose phase-sign slips."""
-    for cfg in (
-        ProtocolConfig(p=3, attack=random_isometry(9, 3, 3, seed=2)),
-        ProtocolConfig(p=3, variant=VARIANT_WEAK, attack=keep_and_send_phi0(11, 3)),
+    """The spectrum path matches the plain per-group loop, which sums
+    v v^+ straight from the support.  The full pad gives delta = 0 alone, so
+    its states are record-independent; the weak pad's edge-11 taps carry a
+    non-zero delta and its negative, so there the states vary with the record
+    and expose sign slips, dropped conjugate terms and cross-group pairs."""
+    for cfg, n_deltas in (
+        (ProtocolConfig(p=3, attack=random_isometry(9, 3, 3, seed=2)), 0),
+        (ProtocolConfig(p=3, variant=VARIANT_WEAK, attack=keep_and_send_phi0(11, 3)), 2),
+        (ProtocolConfig(p=3, variant=VARIANT_WEAK, attack=random_isometry(11, 3, 3, seed=5)), 2),
     ):
-        pairs = _pair_list(cfg, (0, 1, 2))
-        recs = record_digits(3, len(pairs.visible), 100, 140)
-        args = (recs, pairs.diffs, pairs.w, pairs.rows, pairs.cols, pairs.p, pairs.n_kept)
-        rho_np = conditional_states(*args)
-        rho_loop = kernel_ref.conditional_states_loop(*args, phase_table(3))
-        np.testing.assert_allclose(rho_np, rho_loop, atol=1e-13)
+        support = _wiretap_support(cfg, (0, 1, 2))
+        m = 9 * cfg.attack.d_env
+        records = np.random.default_rng(3).integers(0, 3, size=(10, support[1].shape[1]))
+        rho_np, found = _states(support, records, 3, m)
+        assert found == n_deltas
+        rho_loop = kernel_ref.conditional_states_loop(records, *support, 3, m, phase_table(3))
+        np.testing.assert_allclose(rho_np, rho_loop, atol=1e-13, err_msg=cfg.attack.label)
 
 
 def test_conditional_states_tiny_handmade_case():
-    """Two pairs on a 2x2 grid: the kernel and the plain loop against a hand
-    expansion."""
-    table = np.exp(2j * np.pi * np.arange(3) / 3)
+    """Four entries in two groups, two kept indices: the kernel and the plain
+    loop against a hand expansion.  Entries 0 and 2 share (group, record
+    digits) and merge into one row; entry 1 sits at a non-zero difference
+    from them, and entry 3 is alone in its group."""
+    amp = np.array([0.5, 0.25j, -0.5, 0.75])
+    zvis = np.array([[0, 1], [1, 1], [0, 1], [2, 0]])
+    kept = np.array([0, 1, 1, 0])
+    group = np.array([0, 0, 0, 1])
     records = np.array([[0, 1], [2, 2]])
-    diffs = np.array([[1, 0], [1, 2]])
-    w = np.array([0.5 + 0j, 0.25j])
-    rows = np.array([0, 1])
-    cols = np.array([1, 1])
-    expected = np.zeros((2, 2, 2), dtype=complex)
-    for b in range(2):
-        for t in range(2):
-            e = (records[b] @ diffs[t]) % 3
-            expected[b, rows[t], cols[t]] += w[t] * table[e]
-    got = conditional_states(records, diffs, w, rows, cols, 3, 2)
-    np.testing.assert_allclose(got, expected, atol=1e-15, err_msg="numpy")
-    got = kernel_ref.conditional_states_loop(
-        records, diffs, w, rows, cols, 3, 2, phase_table(3)
+    # r = (0, 1): v_0 = w (0.5, -0.5 + 0.25i), v_1 = (0.75, 0)
+    # r = (2, 2): v_0 = (0.5 w^2, 0.25i w - 0.5 w^2), v_1 = (0.75 w, 0)
+    off = -0.25 + np.sqrt(3) / 16 + 0.0625j
+    expected = np.array(
+        [
+            [[0.8125, -0.25 - 0.125j], [-0.25 + 0.125j, 0.3125]],
+            [[0.8125, off], [np.conj(off), 0.3125 - np.sqrt(3) / 8]],
+        ]
     )
+    support = (amp, zvis, kept, group)
+    got, found = _states(support, records, 3, 2)
+    assert found == 1
+    np.testing.assert_allclose(got, expected, atol=1e-15, err_msg="numpy")
+    got = kernel_ref.conditional_states_loop(records, *support, 3, 2, phase_table(3))
     np.testing.assert_allclose(got, expected, atol=1e-15, err_msg="loop")
 
 

@@ -396,3 +396,24 @@ def test_analysis_matches_protocol_spot_records_with_attack():
             rhos[rec], report.conditional(rec).matrix, atol=1e-10
         )
         assert probs[rec] == pytest.approx(report.record_probability(rec), abs=1e-12)
+
+
+def test_analysis_matches_protocol_spot_records_under_weak_pad_haar():
+    """The weak pad leaves edge 10 visible, so a Haar tap on edge 11 gives the
+    conditional states non-zero record differences; pin the eight visible
+    outcomes and branch over edge 11 alone."""
+    cfg = ProtocolConfig(
+        p=3, attack=random_isometry(11, 3, 3, seed=5), variant=VARIANT_WEAK
+    )
+    report = analyze(cfg, with_fidelity=False)
+    assert len(report._spectrum.diffs) > 0
+    visible = visible_edges(VARIANT_WEAK)
+    rng = np.random.default_rng(23)
+    for _ in range(4):
+        rec = tuple(int(v) for v in rng.integers(0, 3, size=len(visible)))
+        rhos, probs = conditional_by_protocol(cfg, dict(zip(visible, rec)))
+        assert set(rhos) == {rec}
+        np.testing.assert_allclose(
+            rhos[rec], report.conditional(rec).matrix, atol=1e-10
+        )
+        assert probs[rec] == pytest.approx(report.record_probability(rec), abs=1e-12)
