@@ -71,8 +71,12 @@ class RegisterLayout:
             # dimension 1 is allowed: a trivial environment is still a register
             if d < 1:
                 raise LayoutError(f"register {n!r} must have dimension >= 1, got {d}")
-        self._registers: tuple[tuple[str, int], ...] = tuple((n, int(d)) for n, d in registers)
-        self._index = {n: i for i, (n, _) in enumerate(self._registers)}
+        self._set(tuple((n, int(d)) for n, d in registers))
+
+    def _set(self, registers: tuple[tuple[str, int], ...]) -> "RegisterLayout":
+        self._registers = registers
+        self._index = {n: i for i, (n, _) in enumerate(registers)}
+        return self
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -96,8 +100,10 @@ class RegisterLayout:
         return int(np.prod(self.dims, dtype=np.int64))
 
     def without(self, name: str) -> "RegisterLayout":
+        # a valid layout minus one register is valid: skip the constructor's checks
         i = self.index(name)
-        return RegisterLayout(self._registers[:i] + self._registers[i + 1:])
+        layout = RegisterLayout.__new__(RegisterLayout)
+        return layout._set(self._registers[:i] + self._registers[i + 1:])
 
     def appended(self, name: str, dim: int) -> "RegisterLayout":
         if name in self._index:

@@ -198,3 +198,17 @@ def conditional_states(
         out += part
         out += part.conj().transpose(0, 2, 1)
     return out
+
+
+def class_representatives(
+    records: np.ndarray, diffs: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of records under r -> (r . diffs_k mod p)_k, the only way
+    ``conditional_states`` depends on r: records in one class share a state.
+
+    Returns the index of each class's first record (classes in key order) and
+    every record's class.  With no diffs all records form one class.
+    """
+    key = (np.asarray(records, dtype=np.int64) @ np.asarray(diffs, dtype=np.int64).T) % p
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.ravel()

@@ -19,10 +19,10 @@ sized to ``_BATCH_BYTES``.
 
 Security holds when each conditional state is the fixed product
 (I / p^2) tensor (total environment leak / p), and the record distribution
-is uniform.  ``verify_independence`` certifies this with a cheap Frobenius
-bound per record, falling back to exact trace distances at the worst
-offenders, so secure sweeps stay fast and insecure states are still
-measured exactly.
+is uniform.  rho_r depends on r only through its class (r . delta mod p)
+over the deltas, so ``analyze`` measures both deviations exactly, one
+trace distance per class of the evaluated records; the record loop supplies
+the probabilities, the hermiticity check and the wiretapper's marginal.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .adversary import AttackSpec
 from .engine import DensityMatrix, RegisterLayout, trace_distance
-from .kernels import conditional_states, record_digits, spectrum
+from .kernels import class_representatives, conditional_states, record_digits, spectrum
 from .protocol import (
     ENTANGLED,
     MEASURED_EDGES,
@@ -122,18 +122,6 @@ def _wiretap_spectrum(config: ProtocolConfig, b1_values: Sequence[int]) -> _Wire
     )
 
 
-@dataclass(frozen=True)
-class BranchStat:
-    """Per-record statistics; exact deviations filled in only at witnesses."""
-
-    record: tuple[int, ...]
-    probability: float
-    product_deviation_bound: float
-    reference_deviation_bound: float
-    product_deviation: float | None = None
-    reference_deviation: float | None = None
-
-
 @dataclass
 class SecurityReport:
     """Everything ``analyze`` learned about one attacked configuration."""
@@ -144,7 +132,7 @@ class SecurityReport:
     record_edges: tuple[int, ...]
     exhaustive: bool
     n_records: int
-    per_branch: list[BranchStat] = field(repr=False)
+    record_classes: int = 0
     probability_total: float = 0.0
     record_uniformity: float = 0.0
     product_deviation: float = 0.0
@@ -183,6 +171,7 @@ class SecurityReport:
             "record_edges": list(self.record_edges),
             "exhaustive": self.exhaustive,
             "n_records": self.n_records,
+            "record_classes": self.record_classes,
             "probability_total": self.probability_total,
             "record_uniformity": self.record_uniformity,
             "product_deviation": self.product_deviation,
@@ -206,13 +195,11 @@ class SecurityReport:
         }
 
 
-def _marginals(rho_batch: np.ndarray, p: int, d_env: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference (p^2) and environment (d_env) marginals of a batch."""
-    b = rho_batch.shape[0]
-    t = rho_batch.reshape(b, p, p, d_env, p, p, d_env)
-    ref = np.einsum("bxyeuve->bxyuv", t).reshape(b, p * p, p * p)
-    eve = np.einsum("bxyexyf->bef", t)
-    return ref, eve
+def _marginals(rho: np.ndarray, p: int, d_env: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference (p^2) and environment (d_env) marginals of one joint state."""
+    t = rho.reshape(p, p, d_env, p, p, d_env)
+    ref = np.einsum("xyeuve->xyuv", t).reshape(p * p, p * p)
+    return ref, np.einsum("xyexyf->ef", t)
 
 
 def analyze(
@@ -231,6 +218,13 @@ def analyze(
     default); ``config.b1`` is ignored here.  Recovery-step corrections act
     only on traced registers and are omitted, as the verdict cannot depend
     on them.
+
+    Every evaluated record's state is built once, in batches, for its
+    probability, the hermiticity check and the wiretapper's marginal.  The
+    deviations are exact: one trace distance per class of the evaluated
+    records (``kernels.class_representatives``), taken at the class's first
+    record; the worst class's first record is the reported ``worst_record``.
+    A zero-probability class counts as the zero matrix, at deviation 1/2.
     """
     if config.attack is None:
         raise ValueError("analyze requires a configured attack")
@@ -246,133 +240,57 @@ def analyze(
     d_env = config.attack.d_env
     ng = spec.kept_layout.total_dim
     batch = max(1, _BATCH_BYTES // (16 * ng * ng))
-
     if exhaustive:
-        n_records = n_all
-        def chunks():
-            for lo in range(0, n_all, batch):
-                yield record_digits(p, n_vis, lo, min(lo + batch, n_all))
+        records = record_digits(p, n_vis, 0, n_all)
     else:
         rng = np.random.default_rng(sample_seed)
-        sampled = rng.integers(0, p, size=(n_samples, n_vis), dtype=np.int64)
-        n_records = n_samples
-        def chunks():
-            for lo in range(0, n_samples, batch):
-                yield sampled[lo : lo + batch]
+        records = rng.integers(0, p, size=(n_samples, n_vis), dtype=np.int64)
+
+    traces: list[np.ndarray] = []
+    herm_err = 0.0
+    rho_sum = np.zeros((ng, ng), dtype=complex)
+    for lo in range(0, len(records), batch):
+        rho = spec.states(records[lo : lo + batch])
+        traces.append(np.einsum("bii->b", rho).real)
+        herm_err = max(herm_err, float(np.abs(rho - rho.conj().transpose(0, 2, 1)).max()))
+        rho_sum += rho.sum(axis=0)
+    prob_all = np.concatenate(traces) * float(p) ** (-n_vis)
+    total = float(prob_all.sum())
+    if exhaustive:
+        uniformity = 0.5 * float(np.abs(prob_all - 1.0 / n_all).sum())
+    else:
+        uniformity = float(np.abs(prob_all * n_all - 1.0).max())
 
     eve_ref = expected_environment_state(config.attack)
     expected = np.kron(np.eye(p * p) / (p * p), eve_ref)
     ref_expected = np.eye(p * p) / (p * p)
+    first, _ = class_representatives(records, spec.diffs, p)
+    product_devs, ref_devs = [], []
+    for lo in range(0, len(first), batch):
+        for rho in spec.states(records[first[lo : lo + batch]]):
+            tr = float(np.trace(rho).real)
+            rho = rho / tr if tr > 0.0 else np.zeros_like(rho)
+            product_devs.append(trace_distance(rho, expected))
+            ref_devs.append(trace_distance(_marginals(rho, p, d_env)[0], ref_expected))
+    worst = int(np.argmax(product_devs))
 
-    stats: list[BranchStat] = []
-    probs: list[np.ndarray] = []
-    frobs: list[np.ndarray] = []
-    ref_frobs: list[np.ndarray] = []
-    records_seen: list[np.ndarray] = []
-    herm_err = 0.0
-    eve_acc = np.zeros((d_env, d_env), dtype=complex)
-    uniform_prob = 1.0 / n_all
-
-    for recs in chunks():
-        rho = spec.states(recs)
-        tr = np.einsum("bii->b", rho).real
-        prob = tr * float(p) ** (-n_vis)
-        herm_err = max(herm_err, float(np.abs(rho - rho.conj().transpose(0, 2, 1)).max()))
-        safe_tr = np.where(tr > 0.0, tr, 1.0)
-        rho_n = rho / safe_tr[:, None, None]
-        delta = rho_n - expected[None, :, :]
-        frob = np.sqrt(np.einsum("bij,bij->b", delta, delta.conj()).real)
-        ref_m, eve_m = _marginals(rho_n, p, d_env)
-        ref_delta = ref_m - ref_expected[None, :, :]
-        ref_frob = np.sqrt(np.einsum("bij,bij->b", ref_delta, ref_delta.conj()).real)
-        eve_acc += np.einsum("b,bef->ef", prob, eve_m)
-        probs.append(prob)
-        frobs.append(frob)
-        ref_frobs.append(ref_frob)
-        records_seen.append(recs)
-        for i in range(recs.shape[0]):
-            stats.append(
-                BranchStat(
-                    record=tuple(int(d) for d in recs[i]),
-                    probability=float(prob[i]),
-                    product_deviation_bound=0.5 * math.sqrt(ng) * float(frob[i]),
-                    reference_deviation_bound=0.5 * p * float(ref_frob[i]),
-                )
-            )
-
-    prob_all = np.concatenate(probs)
-    frob_all = np.concatenate(frobs)
-    ref_frob_all = np.concatenate(ref_frobs)
-    recs_all = np.concatenate(records_seen, axis=0)
-    total = float(prob_all.sum())
-
-    if exhaustive:
-        uniformity = 0.5 * float(np.abs(prob_all - uniform_prob).sum())
-    else:
-        uniformity = float(np.abs(prob_all / uniform_prob - 1.0).max())
-
-    def exact_max(
-        frob_arr: np.ndarray, bound_scale: float, exact_fn, floor: float = 1e-12
-    ) -> tuple[float, int]:
-        """Largest exact deviation, visiting records in descending bound order.
-
-        Records whose bound cannot beat the best exact value seen (or the
-        numerical floor) are skipped; the reported maximum then includes the
-        skipped records' common bound, so it never understates.
-        """
-        order = np.argsort(frob_arr)[::-1]
-        best, best_idx = -1.0, int(order[0])
-        remaining_bound = 0.0
-        computed = 0
-        for idx in order:
-            bound = bound_scale * float(frob_arr[idx])
-            if computed > 0 and (bound <= best or bound <= floor):
-                remaining_bound = bound
-                break
-            d = exact_fn(int(idx))
-            computed += 1
-            if d > best:
-                best, best_idx = d, int(idx)
-        return max(best, remaining_bound, 0.0), best_idx
-
-    def rho_at(idx: int) -> np.ndarray:
-        m = spec.states(recs_all[idx : idx + 1])[0]
-        tr = float(np.trace(m).real)
-        return m / tr if tr > 0 else m
-
-    product_dev, worst_idx = exact_max(
-        frob_all, 0.5 * math.sqrt(ng), lambda i: trace_distance(rho_at(i), expected)
-    )
-    ref_dev, _ = exact_max(
-        ref_frob_all,
-        0.5 * p,
-        lambda i: trace_distance(_marginals(rho_at(i)[None], p, d_env)[0][0], ref_expected),
-    )
-    stats[worst_idx] = replace(
-        stats[worst_idx],
-        product_deviation=product_dev,
-        reference_deviation=trace_distance(
-            _marginals(rho_at(worst_idx)[None], p, d_env)[0][0], ref_expected
-        ),
-    )
-
-    eve_mean = eve_acc / total
+    eve_mean = _marginals(rho_sum, p, d_env)[1] * float(p) ** (-n_vis) / total
     report = SecurityReport(
         p=p,
         variant=config.variant,
         attack=config.attack,
         record_edges=spec.visible,
         exhaustive=exhaustive,
-        n_records=n_records,
-        per_branch=stats,
+        n_records=len(records),
+        record_classes=len(first),
         probability_total=total,
         record_uniformity=uniformity,
-        product_deviation=product_dev,
-        reference_deviation_from_maximally_mixed=ref_dev,
+        product_deviation=product_devs[worst],
+        reference_deviation_from_maximally_mixed=max(ref_devs),
         sigma_sum_match=trace_distance(eve_mean, eve_ref),
         hermiticity_error=herm_err,
         eve_reference_state=eve_ref,
-        worst_record=stats[worst_idx].record,
+        worst_record=tuple(int(d) for d in records[first[worst]]),
         _spectrum=spec,
     )
     report.worst_conditional = report.conditional(report.worst_record)

@@ -72,6 +72,7 @@ def test_attack_secure_expectation(tmp_path, capsys):
     assert blob["witnesses"]["failures"] == []
     assert blob["product_deviation"] <= 1e-9
     assert blob["output_fidelity_under_attack"] == 1.0
+    assert blob["record_classes"] == 1
 
 
 def test_attack_verdict_mismatch_sets_exit_one(capsys):
@@ -132,6 +133,7 @@ def test_attack_weak_pad_keep_is_insecure(tmp_path, capsys):
     # 12 significant digits of 2/3
     assert blob["product_deviation"] == 0.666666666667
     assert blob["witnesses"]["failures"]
+    assert blob["record_classes"] == 3
 
 
 def test_attack_output_is_byte_stable(tmp_path, capsys):

@@ -5,7 +5,7 @@ import kernel_ref
 from qnc import kernels
 from qnc.adversary import keep_and_send_phi0, random_isometry
 from qnc.engine import phase_table
-from qnc.kernels import conditional_states, record_digits, record_index
+from qnc.kernels import class_representatives, conditional_states, record_digits, record_index
 from qnc.protocol import (
     GIVEN,
     MEASURED_EDGES,
@@ -165,6 +165,35 @@ def test_conditional_states_tiny_handmade_case():
     np.testing.assert_allclose(got, expected, atol=1e-15, err_msg="numpy")
     got = kernel_ref.conditional_states_loop(records, *support, 3, 2, phase_table(3))
     np.testing.assert_allclose(got, expected, atol=1e-15, err_msg="loop")
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_records_in_one_class_share_their_state(p):
+    """On a random spectrum (Hermitian Omega_0, random Omega_k and deltas)
+    every record's state equals its class representative's, and the classes
+    are exactly the distinct vectors (r . delta_k mod p)_k, counted here with
+    Python ints.  A key built from a subset of the deltas merges classes
+    whose states differ."""
+    rng = np.random.default_rng(40 + p)
+    m, width, n_deltas = 4, 4, {3: 3, 5: 2}[p]
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    h = gaussian(m, m)
+    omega0, omega = h + h.conj().T, gaussian(n_deltas, m, m)
+    diffs = rng.integers(0, p, size=(n_deltas, width))
+    diffs[:, 0] = rng.integers(1, p, size=n_deltas)
+    records = record_digits(p, width, 0, p**width)
+    first, inverse = class_representatives(records, diffs, p)
+    keys = {
+        tuple(sum(int(r) * int(d) for r, d in zip(rec, delta)) % p for delta in diffs)
+        for rec in records
+    }
+    assert len(first) == len(keys)
+    assert (first[inverse] <= np.arange(len(records))).all()
+    states = conditional_states(records, omega0, diffs, omega, p)
+    np.testing.assert_allclose(states, states[first[inverse]], rtol=0, atol=1e-14)
 
 
 def _single_rest_summaries(amp, zmeas):

@@ -15,7 +15,9 @@ from qnc.classical_code import (
     attacked_coefficient_matrix,
     coefficient_matrix,
 )
+from qnc import security
 from qnc.engine import trace_distance
+from qnc.kernels import record_digits, record_index
 from qnc.protocol import (
     GIVEN,
     MEASURED_EDGES,
@@ -149,6 +151,54 @@ def test_weak_pad_reference_marginal_is_still_uniform():
     report = analyze(keep11_weak(), with_fidelity=False)
     assert report.reference_deviation_from_maximally_mixed <= 1e-10
     assert report.record_uniformity <= 1e-10
+
+
+# -- exact deviations per record class ---------------------------------
+
+
+WEAK_EDGE11_TAPS = [keep_and_send_phi0(11, 3), random_isometry(11, 3, 3, seed=5)]
+
+
+@pytest.mark.parametrize("attack", WEAK_EDGE11_TAPS, ids=lambda a: a.label)
+def test_weak_pad_deviation_is_the_maximum_over_every_record(attack):
+    """Brute force over all 3^8 records, one batched eigvalsh per slice: the
+    largest trace distance from the product form is the reported deviation,
+    and the reported worst record reaches it."""
+    cfg = ProtocolConfig(p=3, attack=attack, variant=VARIANT_WEAK)
+    report = analyze(cfg, with_fidelity=False)
+    expected = np.kron(np.eye(9) / 9, expected_environment_state(attack))
+    devs = []
+    for lo in range(0, 3**8, 729):
+        rho = report._spectrum.states(record_digits(3, 8, lo, lo + 729))
+        rho /= np.einsum("bii->b", rho).real[:, None, None]
+        devs.append(0.5 * np.abs(np.linalg.eigvalsh(rho - expected)).sum(axis=1))
+    devs = np.concatenate(devs)
+    assert report.product_deviation == pytest.approx(devs.max(), abs=1e-12)
+    assert devs[record_index(report.worst_record, 3)] == pytest.approx(devs.max(), abs=1e-12)
+
+
+def test_each_record_is_evaluated_once(monkeypatch):
+    """One state per announced record, one per class, and the worst and
+    anchor conditionals: no record is rebuilt on its own."""
+    evaluated = []
+    kernel = security.conditional_states
+
+    def counting(records, *args):
+        evaluated.append(len(records))
+        return kernel(records, *args)
+
+    monkeypatch.setattr(security, "conditional_states", counting)
+    cfg = ProtocolConfig(p=3, attack=random_isometry(11, 3, 3, seed=5), variant=VARIANT_WEAK)
+    report = analyze(cfg, with_fidelity=False)
+    assert sum(evaluated) <= 3**8 + report.record_classes + 2
+
+
+def test_record_classes_are_reported():
+    full_pad = ProtocolConfig(p=3, attack=random_isometry(9, 3, 3, seed=2))
+    full = analyze(full_pad, with_fidelity=False)
+    weak = analyze(keep11_weak(), with_fidelity=False)
+    assert (full.record_classes, weak.record_classes) == (1, 3)
+    assert (full.to_json()["record_classes"], weak.to_json()["record_classes"]) == (1, 3)
 
 
 # -- key distribution overrides ---------------------------------------
