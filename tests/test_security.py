@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qnc import security
 from qnc.adversary import (
     identity_forward,
     keep_and_send_phi0,
@@ -15,7 +16,6 @@ from qnc.classical_code import (
     attacked_coefficient_matrix,
     coefficient_matrix,
 )
-from qnc import security
 from qnc.engine import trace_distance
 from qnc.kernels import record_digits, record_index
 from qnc.protocol import (
