@@ -14,7 +14,6 @@ wiretap propagation) is derived from those tables.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,7 +100,7 @@ def _forward_values(p: int, a1: int, a2: int, b1: int,
                     attacked_edge: int | None = None, injected: int = 0) -> dict[int, int]:
     """Forward pass of FLOW_RULES on edge values mod p.
 
-    Kept apart from ``_propagate`` on purpose: the coefficient matrices are
+    Kept apart from ``_transfer_rows`` on purpose: the coefficient matrices are
     tested against this pass, so the two must not share an evaluator.
     """
     validate_modulus(p)
@@ -192,33 +191,23 @@ class CoefficientMatrix:
         }
 
 
-def _propagate(p: int, source_vectors: dict[int, np.ndarray], ncols: int,
-               attacked_edge: int | None = None) -> dict[int, np.ndarray]:
-    """Forward pass of FLOW_RULES on coefficient vectors instead of values."""
-    vecs = dict(source_vectors)
-    inject = None
-    if attacked_edge is not None:
-        inject = np.zeros(ncols, dtype=np.int64)
-        inject[-1] = 1
+def _transfer_rows(p: int, attacked_edge: int | None = None) -> np.ndarray:
+    """Forward pass of FLOW_RULES on coefficient vectors instead of values:
+    the ROW_EDGES rows over (a1, a2, b1), plus e1 when an edge is attacked."""
+    unit = np.eye(3 if attacked_edge is None else 4, dtype=np.int64)
+    vecs = {1: unit[0], 2: unit[1], 3: unit[2], 4: unit[2]}
     for edge in sorted(FLOW_RULES):
-        acc = np.zeros(ncols, dtype=np.int64)
+        acc = np.zeros(len(unit), dtype=np.int64)
         for src, tag in FLOW_RULES[edge]:
             acc = (acc + _coeff(tag, p) * vecs[src]) % p
-        vecs[edge] = inject if edge == attacked_edge else acc
-    return vecs
+        vecs[edge] = unit[3] if edge == attacked_edge else acc
+    return np.stack([vecs[e] for e in ROW_EDGES])
 
 
 def coefficient_matrix(p: int) -> CoefficientMatrix:
     """Honest transfer matrix with columns (a1, a2, b1) and rows ROW_EDGES."""
     validate_modulus(p)
-    sources = {
-        1: np.array([1, 0, 0], dtype=np.int64),
-        2: np.array([0, 1, 0], dtype=np.int64),
-        3: np.array([0, 0, 1], dtype=np.int64),
-        4: np.array([0, 0, 1], dtype=np.int64),
-    }
-    vecs = _propagate(p, sources, ncols=3)
-    rows = np.stack([vecs[e] for e in ROW_EDGES])
+    rows = _transfer_rows(p)
     return CoefficientMatrix(p=p, row_edges=ROW_EDGES, columns=("a1", "a2", "b1"), rows=rows)
 
 
@@ -231,19 +220,11 @@ def attacked_coefficient_matrix(p: int, attacked_edge: int) -> CoefficientMatrix
     validate_modulus(p)
     if attacked_edge not in ATTACKABLE_EDGES:
         raise ValueError(f"attacked edge must be in {ATTACKABLE_EDGES}, got {attacked_edge}")
-    sources = {
-        1: np.array([1, 0, 0, 0], dtype=np.int64),
-        2: np.array([0, 1, 0, 0], dtype=np.int64),
-        3: np.array([0, 0, 1, 0], dtype=np.int64),
-        4: np.array([0, 0, 1, 0], dtype=np.int64),
-    }
-    vecs = _propagate(p, sources, ncols=4, attacked_edge=attacked_edge)
-    rows = np.stack([vecs[e] for e in ROW_EDGES])
     return CoefficientMatrix(
         p=p,
         row_edges=ROW_EDGES,
         columns=("a1", "a2", "b1", "e1"),
-        rows=rows,
+        rows=_transfer_rows(p, attacked_edge),
         attacked_edge=attacked_edge,
     )
 
@@ -288,30 +269,14 @@ def classical_secrecy_check(
     if not keys:
         raise ValueError("b1_values must be non-empty")
 
-    joint: dict[tuple[int, int, int], int] = {}
-    for a1, a2 in itertools.product(range(p), repeat=2):
-        for b1 in keys:
-            zj = evaluate_flow(p, a1, a2, b1).value(edge)
-            key = (zj, a1, a2)
-            joint[key] = joint.get(key, 0) + 1
-
+    joint = np.zeros((p, p, p), dtype=np.int64)  # counts of (edge value, a1, a2)
+    for a1, a2, b1 in itertools.product(range(p), range(p), keys):
+        joint[evaluate_flow(p, a1, a2, b1).value(edge), a1, a2] += 1
     total = p * p * len(keys)
-    z_counts: dict[int, int] = {}
-    for (zj, _, _), n in joint.items():
-        z_counts[zj] = z_counts.get(zj, 0) + n
-    msg_count = len(keys)  # each (a1, a2) occurs once per key
-
+    # marginal counts of the value times those of (a1, a2), which occur once per key
+    product = np.broadcast_to(joint.sum(axis=(1, 2), keepdims=True), joint.shape) * len(keys)
     # Independence as an integer identity: total * joint == marginal * marginal.
-    independent = all(
-        total * n == z_counts[zj] * msg_count for (zj, _, _), n in joint.items()
-    )
-    if independent and len(joint) == len(z_counts) * p * p:
+    if np.array_equal(total * joint, product):
         return 0.0
-
-    mi = 0.0
-    for (zj, _, _), n in joint.items():
-        p_joint = n / total
-        p_z = z_counts[zj] / total
-        p_msg = msg_count / total
-        mi += p_joint * math.log2(p_joint / (p_z * p_msg))
-    return mi
+    seen = joint > 0
+    return float((joint[seen] / total * np.log2(total * joint[seen] / product[seen])).sum())

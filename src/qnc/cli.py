@@ -92,6 +92,17 @@ def make_attack(kind: str, edge: int, p: int, d_env: int | None, seed: int) -> A
     raise ValueError(f"unknown attack kind {kind!r}")
 
 
+def _count(low: int):
+    """An argparse type for integers >= ``low``; argparse names the flag on error."""
+
+    def parse(text: str) -> int:
+        if text.removeprefix("-").isdecimal() and int(text) >= low:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+
+    return parse
+
+
 def _check_prime(parser: argparse.ArgumentParser, p: int) -> None:
     if not is_odd_prime(p):
         parser.error(f"--p must be an odd prime >= 3, got {p}")
@@ -154,7 +165,7 @@ def _analyze_args(args, parser, attack: AttackSpec, variant: str):
             "pass --sample N to sample records"
         )
     config = ProtocolConfig(p=args.p, attack=attack, variant=variant)
-    if args.sample:
+    if args.sample is not None:
         return analyze(
             config, record_cap=0, n_samples=args.sample, sample_seed=_resolve_seed(args.seed)
         )
@@ -285,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("honest", help="run the protocol without an attack")
     common(sp)
-    sp.add_argument("--trials", type=int, default=10)
+    sp.add_argument("--trials", type=_count(1), default=10)
     sp.add_argument("--b1", type=int, default=None, help="fix the scrambling key")
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--json", metavar="PATH", default=None, help="write a JSON report")
@@ -300,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="full-pad")
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--expect", choices=("secure", "insecure"), default=None)
-    sp.add_argument("--sample", type=int, default=None,
+    sp.add_argument("--sample", type=_count(1), default=None,
                     help="sample this many records instead of exhausting them")
     sp.add_argument("--out", metavar="PATH", default=None)
     sp.set_defaults(func=cmd_attack)
 
     sp = sub.add_parser("sweep", help="sweep random attacks over all edges")
     common(sp)
-    sp.add_argument("--attacks-per-edge", type=int, default=20)
+    sp.add_argument("--attacks-per-edge", type=_count(0), default=20)
     sp.add_argument("--d-e-cycle", type=int, nargs="+", default=[1, 3, 9],
                     dest="d_e_cycle", help="environment dimensions to cycle through")
     sp.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="full-pad")
@@ -315,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--named", action="store_true",
                     help="also include keep-phi0 and measure-and-resend attacks")
     sp.add_argument("--expect", choices=("secure", "insecure"), default=None)
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--jobs", type=_count(1), default=os.cpu_count() or 1)
     sp.add_argument("--out", metavar="PATH", default=None)
     sp.set_defaults(func=cmd_sweep)
 

@@ -20,8 +20,10 @@ buckets = traced groups and coefficient a_i e_kept_i, m = p^2 d_env;
 ``conditional_states`` evaluates it for a batch of records.  Every protocol
 support measured gives (a) delta = 0 alone, so a constant table; in (b) the
 full pad gives delta = 0 alone, so record-independent states, while taps on
-the weak pad's edge 11 carry non-zero deltas.  ``tests/kernel_ref.py`` holds
-the plain loops both are checked against.
+the weak pad's edge 11 carry non-zero deltas.  Supports come from
+``protocol.support``; the attacked fidelity is (a)'s overlap W_0 alone
+(``scalar_w0``).  ``tests/kernel_ref.py`` holds the plain loops both are
+checked against.
 """
 
 from __future__ import annotations
@@ -50,6 +52,16 @@ def record_index(record: tuple[int, ...] | np.ndarray, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _rows(coef: np.ndarray, bucket: np.ndarray, pos: np.ndarray, kept: np.ndarray,
+          m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entries merged on (bucket, pos) into length-m rows, keyed bucket * p^n + pos."""
+    place = p ** np.arange(pos.shape[1] - 1, -1, -1, dtype=np.int64)
+    keys, inv = np.unique(bucket * p ** pos.shape[1] + pos @ place, return_inverse=True)
+    slot, size = inv * m + kept, keys.size * m
+    rows = np.bincount(slot, coef.real, size) + 1j * np.bincount(slot, coef.imag, size)
+    return keys, rows.reshape(keys.size, m)
+
+
 def spectrum(
     coef: np.ndarray,
     bucket: np.ndarray,
@@ -67,10 +79,7 @@ def spectrum(
     """
     place = p ** np.arange(pos.shape[1] - 1, -1, -1, dtype=np.int64)
     span = p ** pos.shape[1]
-    keys, inv = np.unique(bucket * span + pos @ place, return_inverse=True)
-    slot, size = inv * m + kept, keys.size * m
-    rows = np.bincount(slot, coef.real, size) + 1j * np.bincount(slot, coef.imag, size)
-    rows = rows.reshape(keys.size, m)
+    keys, rows = _rows(coef, bucket, pos, kept, m, p)
     omega0 = rows.T @ rows.conj()
     # pairs i < j inside each bucket; keys are sorted, so buckets are runs
     bucket_of = keys // span
@@ -102,6 +111,13 @@ def _scalar_spectrum(
     zero = np.zeros(coef.size, dtype=np.int64)
     omega0, deltas, omega = spectrum(coef, bucket, pos, zero, 1, p)
     return float(omega0[0, 0].real), deltas, omega[:, 0, 0]
+
+
+def scalar_w0(coef: np.ndarray, bucket: np.ndarray, pos: np.ndarray, p: int) -> float:
+    """W_0 of the scalar spectrum alone, the sum of |merged row|^2: the record
+    mean p^-n sum_r rho(r), as each non-zero delta's phase sums to zero over r."""
+    _, rows = _rows(coef, bucket, pos, np.zeros(coef.size, dtype=np.int64), 1, p)
+    return float(np.vdot(rows, rows).real)
 
 
 def _evaluate(w0: float, deltas: np.ndarray, w: np.ndarray, p: int, width: int) -> np.ndarray:

@@ -10,10 +10,16 @@ upstream wires in the Fourier basis and broadcasts the outcomes, with the
 two outcomes closest to the sinks one-time-padded by the pair key b2.
 Step 4 applies outcome-dependent phase corrections at the sinks, after
 which each sink wire holds the teleported message wire exactly.
+
+The steps run on the dict-based ``SparseState`` engine, the literal oracle
+behind ``run`` and ``enumerate_branches``.  The fast paths (``branch_table``
+and the ``security`` analysis) read ``support`` instead: the same
+post-transmission state as arrays, built from the transfer matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -21,8 +27,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .adversary import AttackSpec
-from .classical_code import FLOW_RULES, _coeff, coefficient_matrix
-from .engine import RegisterLayout, SparseState, pure_overlap_fidelity
+from .classical_code import (
+    FLOW_RULES,
+    ROW_EDGES,
+    _coeff,
+    attacked_coefficient_matrix,
+    coefficient_matrix,
+)
+from .engine import PRUNE_TOL, RegisterLayout, SparseState, pure_overlap_fidelity
 from .ffield import validate_modulus
 
 VARIANT_FULL = "full_pad"
@@ -133,22 +145,6 @@ class RunResult:
     branch_probability: float
     fidelity: float
 
-    def to_json(self) -> dict:
-        return {
-            "transcript": self.transcript.to_json(),
-            "branch_probability": self.branch_probability,
-            "fidelity": self.fidelity,
-        }
-
-
-def _initial_layout(config: ProtocolConfig) -> RegisterLayout:
-    regs: list[tuple[str, int]] = []
-    if config.input_mode == ENTANGLED:
-        regs += [("ref1", config.p), ("ref2", config.p)]
-    regs += [(wire(1), config.p), (wire(2), config.p)]
-    regs += [(wire(e), config.p) for e in CODED_EDGES]
-    return RegisterLayout(regs)
-
 
 def step1_initialize(config: ProtocolConfig) -> SparseState:
     """Prepare sources and blank interior wires.
@@ -158,23 +154,14 @@ def step1_initialize(config: ProtocolConfig) -> SparseState:
     message wires carry the supplied input vectors directly.
     """
     p = config.p
-    layout = _initial_layout(config)
-    zeros = (0,) * len(CODED_EDGES)
+    wires = [(wire(e), p) for e in (1, 2) + CODED_EDGES]
     if config.input_mode == ENTANGLED:
-        amp = 1.0 / p
-        amps = {
-            (a, b, a, b) + zeros: amp for a in range(p) for b in range(p)
-        }
+        layout = RegisterLayout([("ref1", p), ("ref2", p)] + wires)
+        zeros = (0,) * len(CODED_EDGES)
+        amps = {(a, b, a, b) + zeros: 1.0 / p for a in range(p) for b in range(p)}
         return SparseState(layout, amps)
-    vectors = [np.asarray(config.psi1), np.asarray(config.psi2)]
-    vectors += [_basis0(p) for _ in CODED_EDGES]
-    return SparseState.from_site_vectors(layout, vectors)
-
-
-def _basis0(p: int) -> np.ndarray:
-    v = np.zeros(p, dtype=complex)
-    v[0] = 1.0
-    return v
+    vectors = [config.psi1, config.psi2] + [np.eye(p)[0]] * len(CODED_EDGES)
+    return SparseState.from_site_vectors(RegisterLayout(wires), vectors)
 
 
 def step2_transmit(state: SparseState, config: ProtocolConfig) -> SparseState:
@@ -199,6 +186,48 @@ def step2_transmit(state: SparseState, config: ProtocolConfig) -> SparseState:
         if config.attack is not None and config.attack.edge == edge:
             state = state.apply_isometry(wire(edge), config.attack.isometry, "E")
     return state
+
+
+@dataclass(frozen=True)
+class Support:
+    """The state after Steps 1-2 as arrays, one entry per (a1, a2, b1, env, e1)."""
+
+    amp: np.ndarray  # amplitudes, key-mixture weight included
+    coords: np.ndarray  # columns a1, a2, b1, env, e1 (env = e1 = 0 without an attack)
+    values: np.ndarray  # the ROW_EDGES values
+
+    def edges(self, edges: Sequence[int]) -> np.ndarray:
+        return self.values[:, [ROW_EDGES.index(e) for e in edges]]
+
+
+def support(config: ProtocolConfig, b1_values: Sequence[int]) -> Support:
+    """The state ``step2_transmit`` builds, mixed uniformly over ``b1_values``,
+    from the transfer matrix applied to (a1, a2, b1), plus e1 under attack.  A
+    tap multiplies the amplitude by V[(env, e1), z], z being the tapped edge's
+    honest value; entries below ``PRUNE_TOL`` are dropped, as the engine drops
+    them.  Amplitudes carry the 1/sqrt(len(b1_values)) mixture weight."""
+    p = config.p
+    keys = np.asarray(b1_values, dtype=np.int64) % p
+    if keys.size == 0 or len(set(keys.tolist())) < keys.size:
+        raise ValueError(f"b1_values must be one or more distinct keys mod {p}")
+    grid = np.meshgrid(np.arange(p), np.arange(p), keys, indexing="ij")
+    inputs = np.stack([g.ravel() for g in grid], axis=1)
+    if config.input_mode == ENTANGLED:
+        amp = np.full(len(inputs), 1.0 / p, dtype=np.complex128)
+    else:
+        amp = config.psi1[inputs[:, 0]] * config.psi2[inputs[:, 1]]
+    matrix = coefficient_matrix(p).rows
+    taps = amp[:, None]
+    if config.attack is not None:
+        z = inputs @ matrix[ROW_EDGES.index(config.attack.edge)] % p
+        taps = taps * config.attack.isometry.T[z]
+        matrix = attacked_coefficient_matrix(p, config.attack.edge).rows
+    entry, row = np.nonzero(np.abs(taps) >= PRUNE_TOL)
+    env, e1 = divmod(row, p)
+    coords = np.column_stack([inputs[entry], env, e1])
+    # columns (a1, a2, b1), plus e1 under attack
+    values = coords[:, [0, 1, 2, 4][: matrix.shape[1]]] @ matrix.T % p
+    return Support(taps[entry, row] * (1.0 / math.sqrt(len(keys))), coords, values)
 
 
 def step3_measure(
@@ -240,11 +269,8 @@ def recovery_columns(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     Cached as int tuples; the matrix itself holds a mutable array.
     """
-    m = coefficient_matrix(p)
-    return (
-        tuple(int(m.row(e)[0]) for e in MEASURED_EDGES),
-        tuple(int(m.row(e)[1]) for e in MEASURED_EDGES),
-    )
+    rows = coefficient_matrix(p).rows[[ROW_EDGES.index(e) for e in MEASURED_EDGES]]
+    return tuple(rows[:, 0].tolist()), tuple(rows[:, 1].tolist())
 
 
 def recovery_exponents(transcript: Transcript) -> tuple[int, int]:
@@ -396,38 +422,29 @@ def branch_table(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
     The vectorized counterpart of a full ``enumerate_branches`` sweep:
     returns two arrays of length p^9 indexed by the announced record in
     lexicographic order (first measured wire most significant).  The
-    post-transmission support goes to ``kernels.branch_summary``, which sums
-    its difference (delta) spectrum: O(pairs within buckets + p^9 x number
-    of deltas), a constant table when only delta = 0 occurs, as for every
-    honest run.  Cross-checked against the generator in the tests.
+    post-transmission ``support`` goes to ``kernels.branch_summary``, which
+    sums its difference (delta) spectrum: O(pairs within buckets + p^9 x
+    number of deltas), a constant table when only delta = 0 occurs, as for
+    every honest run.  Cross-checked against the generator in the tests.
     """
     from .kernels import branch_summary
 
     p = config.p
-    state = step2_transmit(step1_initialize(config), config)
-    amp = np.array(list(state.amps.values()), dtype=np.complex128)
-    cols = {n: state.value_column(n) for n in state.layout.names}
-    zmeas = np.stack([cols[wire(e)] for e in MEASURED_EDGES], axis=1)
-
-    rest_names = [n for n in state.layout.names
-                  if n not in {wire(e) for e in MEASURED_EDGES}]
-    rest = np.stack([cols[n] for n in rest_names], axis=1)
-    uniq, rest_index = np.unique(rest, axis=0, return_inverse=True)
-    n_rest = uniq.shape[0]
-    pos = {n: i for i, n in enumerate(rest_names)}
-    h12 = uniq[:, pos[wire(12)]]
-    h13 = uniq[:, pos[wire(13)]]
-    env = uniq[:, pos["E"]] if "E" in pos else np.zeros(n_rest, dtype=np.int64)
-
-    weight = np.zeros(n_rest, dtype=np.complex128)
-    group = np.full(n_rest, -1, dtype=np.int64)
+    sup = support(config, (config.b1,))
+    a1, a2, _, env, _ = sup.coords.T
+    h12, h13 = sup.edges((12, 13)).T
+    # the unmeasured registers: references (entangled mode), sinks, environment
+    rest = [h12, h13, env] if config.input_mode == GIVEN else [a1, a2, h12, h13, env]
+    uniq, rest_index = np.unique(np.stack(rest, axis=1), axis=0, return_inverse=True)
+    u12, u13, uenv = uniq[:, -3:].T
     if config.input_mode == ENTANGLED:
-        matched = (uniq[:, pos["ref1"]] == h12) & (uniq[:, pos["ref2"]] == h13)
-        weight[matched] = 1.0 / p
-        group[matched] = env[matched]
+        matched = (uniq[:, 0] == u12) & (uniq[:, 1] == u13)
+        weight = np.where(matched, 1.0 / p, 0.0).astype(np.complex128)
+        group = np.where(matched, uenv, -1)
     else:
-        weight = (np.asarray(config.psi1)[h12] * np.asarray(config.psi2)[h13]).conj()
-        group = env.copy()
-
+        weight = (config.psi1[u12] * config.psi2[u13]).conj()
+        group = uenv
     m1, m2 = (np.array(c, dtype=np.int64) for c in recovery_columns(p))
-    return branch_summary(amp, zmeas, rest_index, h12, h13, weight, group, m1, m2, p)
+    return branch_summary(
+        sup.amp, sup.edges(MEASURED_EDGES), rest_index.ravel(), u12, u13, weight, group, m1, m2, p
+    )

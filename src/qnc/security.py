@@ -8,14 +8,16 @@ as a uniform classical mixture and the sink-side registers traced out (the
 recovery step acts only on traced registers, so omitting it changes
 nothing; a test exercises the slow path with recovery applied to confirm).
 
-The states come from one difference spectrum (``kernels.spectrum``): the
-support is bucketed by traced group (hidden wires, sink wires, key) with the
-visible record digits as positions and a_i e_kept_i as coefficients, so
-rho_r = Omega_0 + sum_delta (w^(r . delta) Omega_delta + h.c.) over the
-non-zero record differences delta inside a group.  On every full-pad input
-measured only delta = 0 occurs, so every state is Omega_0.  Memory is the
-spectrum, m x m per delta with m = p^2 d_env, plus one batch of records
-sized to ``_BATCH_BYTES``.
+Both the states and the attacked fidelity read ``protocol.support``, built
+once per ``analyze`` from the transfer matrix.  The states come from one
+difference spectrum (``kernels.spectrum``): the support is bucketed by
+traced group (hidden wires, sink wires, key) with the visible record digits
+as positions and a_i e_kept_i as coefficients, so rho_r = Omega_0 +
+sum_delta (w^(r . delta) Omega_delta + h.c.) over the non-zero record
+differences delta inside a group.  On every full-pad input measured only
+delta = 0 occurs, so every state is Omega_0.  Memory is the spectrum,
+m x m per delta with m = p^2 d_env, plus one batch of records sized to
+``_BATCH_BYTES``.
 
 Security holds when each conditional state is the fixed product
 (I / p^2) tensor (total environment leak / p), and the record distribution
@@ -27,27 +29,27 @@ the probabilities, the hermiticity check and the wiretapper's marginal.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .adversary import AttackSpec
 from .engine import DensityMatrix, RegisterLayout, trace_distance
-from .kernels import class_representatives, conditional_states, record_digits, spectrum
+from .kernels import class_representatives, conditional_states, record_digits, scalar_w0, spectrum
 from .protocol import (
     ENTANGLED,
     MEASURED_EDGES,
     VARIANT_FULL,
     VARIANTS,
     ProtocolConfig,
+    Support,
     recovery_columns,
-    step1_initialize,
-    step2_transmit,
-    wire,
+    support,
 )
+# not called here; kept importable because qncbench/tracing.py lists it in WRAPPED
+from .protocol import step2_transmit  # noqa: F401
 
 DEFAULT_RECORD_CAP = 3**8
 DEFAULT_SAMPLES = 512
@@ -72,27 +74,24 @@ def expected_environment_state(attack: AttackSpec) -> np.ndarray:
 def _wiretap_support(
     config: ProtocolConfig, b1_values: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Post-transmission support over the key mixture, as the wiretapper's
-    states see it: (amplitudes, visible record digits, kept index over
-    (ref1, ref2, E), traced group).  Amplitudes carry the
-    1/sqrt(len(b1_values)) mixture weight; a traced group shares the hidden
-    wires, the sink wires and the key."""
-    p = config.p
+    """``_wiretap_arrays`` of the post-transmission support over the keys."""
+    return _wiretap_arrays(config, support(config, b1_values))
+
+
+def _wiretap_arrays(
+    config: ProtocolConfig, sup: Support
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The support as the wiretapper's states see it: (amplitudes, visible
+    record digits, kept index over (ref1, ref2, E), traced group).  A traced
+    group shares the hidden wires, the sink wires and the key."""
     vis = visible_edges(config.variant)
-    traced_names = [wire(e) for e in MEASURED_EDGES if e not in vis] + [wire(12), wire(13)]
-    amps, zvis, kept, traced = [], [], [], []
-    for b1 in b1_values:
-        cfg = replace(config, b1=b1)
-        state = step2_transmit(step1_initialize(cfg), cfg)
-        col = state.value_column
-        amps.append(np.array(list(state.amps.values()), dtype=np.complex128))
-        zvis.append(np.stack([col(wire(e)) for e in vis], axis=1))
-        kept.append((col("ref1") * p + col("ref2")) * config.attack.d_env + col("E"))
-        key = np.full(state.support_size, b1, dtype=np.int64)
-        traced.append(np.stack([col(n) for n in traced_names] + [key], axis=1))
-    _, group = np.unique(np.concatenate(traced), axis=0, return_inverse=True)
-    amp = np.concatenate(amps) * (1.0 / math.sqrt(len(b1_values)))
-    return amp, np.concatenate(zvis), np.concatenate(kept), group.ravel()
+    hidden = [e for e in MEASURED_EDGES if e not in vis]
+    a1, a2, b1, env, _ = sup.coords.T
+    _, group = np.unique(
+        np.column_stack([sup.edges(hidden + [12, 13]), b1]), axis=0, return_inverse=True
+    )
+    kept = (a1 * config.p + a2) * config.attack.d_env + env
+    return sup.amp, sup.edges(vis), kept, group.ravel()
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,6 @@ class _WiretapSpectrum:
     """The conditional states' delta spectrum (see ``kernels.spectrum``)."""
 
     p: int
-    visible: tuple[int, ...]
     kept_layout: RegisterLayout = field(repr=False)
     omega0: np.ndarray = field(repr=False)
     diffs: np.ndarray = field(repr=False)
@@ -110,16 +108,19 @@ class _WiretapSpectrum:
         return conditional_states(records, self.omega0, self.diffs, self.omega, self.p)
 
 
-def _wiretap_spectrum(config: ProtocolConfig, b1_values: Sequence[int]) -> _WiretapSpectrum:
+def _wiretap_spectrum(config: ProtocolConfig, sup: Support) -> _WiretapSpectrum:
     p = config.p
     layout = RegisterLayout([("ref1", p), ("ref2", p), ("E", config.attack.d_env)])
-    amp, zvis, kept, group = _wiretap_support(config, b1_values)
-    return _WiretapSpectrum(
-        p,
-        visible_edges(config.variant),
-        layout,
-        *spectrum(amp, group, zvis, kept, layout.total_dim, p),
-    )
+    amp, zvis, kept, group = _wiretap_arrays(config, sup)
+    return _WiretapSpectrum(p, layout, *spectrum(amp, group, zvis, kept, layout.total_dim, p))
+
+
+# report fields copied to JSON as they are
+_JSON_SCALARS = (
+    "p", "variant", "exhaustive", "n_records", "record_classes", "probability_total",
+    "record_uniformity", "product_deviation", "reference_deviation_from_maximally_mixed",
+    "sigma_sum_match", "hermiticity_error", "output_fidelity_under_attack", "elapsed_seconds",
+)
 
 
 @dataclass
@@ -164,24 +165,13 @@ class SecurityReport:
         return float(np.trace(rho).real) * float(self.p) ** (-len(self.record_edges))
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "variant": self.variant,
-            "attack": self.attack.to_json(),
-            "record_edges": list(self.record_edges),
-            "exhaustive": self.exhaustive,
-            "n_records": self.n_records,
-            "record_classes": self.record_classes,
-            "probability_total": self.probability_total,
-            "record_uniformity": self.record_uniformity,
-            "product_deviation": self.product_deviation,
-            "reference_deviation_from_maximally_mixed": self.reference_deviation_from_maximally_mixed,
-            "sigma_sum_match": self.sigma_sum_match,
-            "hermiticity_error": self.hermiticity_error,
-            "output_fidelity_under_attack": self.output_fidelity_under_attack,
-            "worst_record": list(self.worst_record),
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        out = {name: getattr(self, name) for name in _JSON_SCALARS}
+        out.update(
+            attack=self.attack.to_json(),
+            record_edges=list(self.record_edges),
+            worst_record=list(self.worst_record),
+        )
+        return out
 
     def to_csv_row(self, tol: float) -> dict:
         verdict, _ = verify_independence(self, tol)
@@ -233,8 +223,10 @@ def analyze(
     t0 = time.perf_counter()
     p = config.p
     b1s = tuple(range(p)) if b1_values is None else tuple(v % p for v in b1_values)
-    spec = _wiretap_spectrum(config, b1s)
-    n_vis = len(spec.visible)
+    sup = support(config, b1s)
+    spec = _wiretap_spectrum(config, sup)
+    visible = visible_edges(config.variant)
+    n_vis = len(visible)
     n_all = p**n_vis
     exhaustive = n_all <= record_cap
     d_env = config.attack.d_env
@@ -279,7 +271,7 @@ def analyze(
         p=p,
         variant=config.variant,
         attack=config.attack,
-        record_edges=spec.visible,
+        record_edges=visible,
         exhaustive=exhaustive,
         n_records=len(records),
         record_classes=len(first),
@@ -297,7 +289,7 @@ def analyze(
     report.anchor_record = (0,) * n_vis
     report.anchor_conditional = report.conditional(report.anchor_record)
     if with_fidelity:
-        report.output_fidelity_under_attack = attacked_fidelity(config, b1_values=b1s)
+        report.output_fidelity_under_attack = _fidelity(config, sup)
     report.elapsed_seconds = time.perf_counter() - t0
     return report
 
@@ -337,11 +329,11 @@ def attacked_fidelity(
 ) -> float:
     """Branch-averaged fidelity of the recovered state with the ideal output.
 
-    Computed in closed form: averaging the per-branch fidelity over all
-    announced records collapses the record sum to a delta on the
-    correction-adjusted measured values, leaving a quadratic form over the
-    support.  Agrees with explicit branch enumeration (see tests) but costs
-    O(support^2) instead of O(p^9 * support).
+    Computed in closed form as the delta = 0 term W_0 of the overlap
+    spectrum (``kernels.scalar_w0``): sum_r prob(r) fid(r) is p^-n times the
+    record sum of the overlap, over which every non-zero delta cancels.
+    Agrees with the key average of ``protocol.branch_table`` (see tests) but
+    costs one pass over the support instead of O(p^9).
     """
     if config.attack is None:
         raise ValueError("attacked_fidelity requires a configured attack")
@@ -349,23 +341,18 @@ def attacked_fidelity(
         raise ValueError("attacked_fidelity requires entangled-halves inputs")
     p = config.p
     b1s = tuple(range(p)) if b1_values is None else tuple(v % p for v in b1_values)
-    m1, m2 = (np.array(c, dtype=np.int64) for c in recovery_columns(p))
+    return _fidelity(config, support(config, b1s))
 
-    total = 0.0
-    for b1 in b1s:
-        cfg = replace(config, b1=b1)
-        state = step2_transmit(step1_initialize(cfg), cfg)
-        amp = np.array(list(state.amps.values()), dtype=np.complex128)
-        cols = {n: state.value_column(n) for n in state.layout.names}
-        h12, h13 = cols[wire(12)], cols[wire(13)]
-        matched = (cols["ref1"] == h12) & (cols["ref2"] == h13)
-        if not matched.any():
-            continue
-        zmeas = np.stack([cols[wire(e)] for e in MEASURED_EDGES], axis=1)
-        adjusted = (zmeas - h12[:, None] * m1[None, :] - h13[:, None] * m2[None, :]) % p
-        key = np.column_stack([cols["E"][matched], adjusted[matched]])
-        _, inverse = np.unique(key, axis=0, return_inverse=True)
-        sums = np.zeros(inverse.max() + 1, dtype=np.complex128)
-        np.add.at(sums, inverse, amp[matched])
-        total += float((sums * sums.conj()).real.sum()) / (p * p)
-    return total / len(b1s)
+
+def _fidelity(config: ProtocolConfig, sup: Support) -> float:
+    """W_0 of the overlap spectrum, bucketed by (key, environment) at the
+    correction-adjusted measured values; only entries whose sink wires hold
+    the references overlap the target, whose amplitude there is 1/p."""
+    p = config.p
+    a1, a2, b1, env, _ = sup.coords.T
+    h12, h13 = sup.edges((12, 13)).T
+    on = (a1 == h12) & (a2 == h13)
+    m1, m2 = (np.array(c, dtype=np.int64) for c in recovery_columns(p))
+    adjusted = (sup.edges(MEASURED_EDGES) - np.outer(h12, m1) - np.outer(h13, m2)) % p
+    bucket = b1 * config.attack.d_env + env
+    return scalar_w0(sup.amp[on] / p, bucket[on], adjusted[on], p)

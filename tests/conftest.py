@@ -7,7 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 try:
     from hypothesis import settings
-except ImportError:  # then only tests/test_engine_properties.py fails, at collection
+except ImportError:  # then the property-test modules fail, at collection
     pass
 else:
     # the same examples on every run, no example database, and no per-example

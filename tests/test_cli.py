@@ -170,6 +170,28 @@ def test_attack_large_field_needs_sampling(tmp_path, capsys):
     assert blob["n_records"] == 40
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["attack", "--p", "5", "--edge", "9", "--sample", "0"],
+        ["attack", "--p", "5", "--edge", "9", "--sample", "-1"],
+        ["honest", "--trials", "-2"],
+        ["honest", "--trials", "0"],
+        ["sweep", "--jobs", "0"],
+        ["sweep", "--attacks-per-edge", "-1", "--jobs", "1"],
+        ["sweep", "--attacks-per-edge", "two"],
+    ],
+    ids=["sample-0", "sample-neg", "trials-neg", "trials-0", "jobs-0", "attacks-neg",
+         "attacks-text"],
+)
+def test_out_of_range_counts_are_usage_errors(argv, capsys):
+    """A count flag outside its range exits 2 with a message naming the flag,
+    before any work starts (--attacks-per-edge 0 stays valid: named attacks only)."""
+    flag = next(a for a in argv if a in ("--sample", "--trials", "--jobs", "--attacks-per-edge"))
+    assert run_cli(argv) == 2
+    assert f"argument {flag}: must be an integer" in capsys.readouterr().err
+
+
 # -- sweep -------------------------------------------------------------
 
 

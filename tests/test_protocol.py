@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qnc.adversary import keep_and_send_phi0, measure_and_resend, random_isometry
-from qnc.classical_code import coefficient_matrix
+from qnc.classical_code import ATTACKABLE_EDGES, coefficient_matrix
 from qnc.protocol import (
     CODED_EDGES,
     DEFAULT_ENUMERATION_CAP,
@@ -27,6 +29,7 @@ from qnc.protocol import (
     step2_transmit,
     step3_measure,
     step4_recover,
+    support,
     wire,
 )
 
@@ -136,6 +139,41 @@ def test_step2_tap_sees_the_wire_before_downstream_reads():
     for key in st.amps:
         expected = (2 * key[i_ref1] + 2 * key[i_ref2] + 2 * 2) % 3
         assert key[i_env] == expected
+
+
+@given(
+    p=st.sampled_from([3, 5]),
+    edge=st.sampled_from(ATTACKABLE_EDGES),
+    tap=st.sampled_from(["none", "haar", "keep-phi0"]),
+    mode=st.sampled_from([ENTANGLED, GIVEN]),
+    data=st.data(),
+)
+def test_support_equals_the_engine(p, edge, tap, mode, data):
+    """``support``, built from the transfer matrices, holds the basis tuples
+    and amplitudes of the literal engine's Steps 1-2, tuple for tuple."""
+    b1 = data.draw(st.integers(0, p - 1), label="b1")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    attack = {
+        "none": None,
+        "keep-phi0": keep_and_send_phi0(edge, p),
+        "haar": random_isometry(edge, p, data.draw(st.integers(1, p * p), label="d_env"), seed),
+    }[tap]
+    inputs = {}
+    if mode == GIVEN:
+        rng = np.random.default_rng(seed)
+        for name in ("psi1", "psi2"):
+            v = rng.normal(size=p) + 1j * rng.normal(size=p)
+            inputs[name] = v / np.linalg.norm(v)
+    cfg = ProtocolConfig(p=p, b1=b1, attack=attack, input_mode=mode, **inputs)
+    sup = support(cfg, (b1,))
+    # engine layout: (ref1, ref2) in entangled mode, the ROW_EDGES wires, then E
+    columns = [sup.coords[:, :2]] if mode == ENTANGLED else []
+    columns += [sup.values] + ([sup.coords[:, 3:4]] if attack is not None else [])
+    keys = [tuple(int(v) for v in row) for row in np.hstack(columns)]
+    engine = step2_transmit(step1_initialize(cfg), cfg).amps
+    assert sorted(keys) == sorted(engine)
+    for key, amp in zip(keys, sup.amp):
+        assert abs(amp - engine[key]) <= 1e-13, key
 
 
 # -- step 3 ------------------------------------------------------------

@@ -56,8 +56,15 @@ def test_visible_edges_by_variant():
 
 
 def test_analyze_requires_attack_and_entangled_inputs():
+    """Also a key set: a repeated key would add its branches coherently."""
     with pytest.raises(ValueError):
         analyze(ProtocolConfig(p=3))
+    cfg = ProtocolConfig(p=3, attack=identity_forward(7, 3))
+    for keys in ((), (0, 3), (1, 1)):
+        with pytest.raises(ValueError, match="distinct keys"):
+            analyze(cfg, b1_values=keys)
+        with pytest.raises(ValueError, match="distinct keys"):
+            attacked_fidelity(cfg, b1_values=keys)
     with pytest.raises(ValueError):
         analyze(
             ProtocolConfig(
@@ -290,16 +297,24 @@ def test_attacked_fidelity_known_values():
 
 
 def test_attacked_fidelity_matches_branch_average():
-    """Closed form vs the full per-branch table, averaged over the key."""
-    for attack in (keep_and_send_phi0(11, 3), random_isometry(7, 3, 3, seed=5)):
-        cfg = ProtocolConfig(p=3, attack=attack)
+    """Closed form vs the full per-branch table, averaged over the key.  A
+    fidelity that sums amplitudes across environment values fails here."""
+    cases = (
+        (3, keep_and_send_phi0(11, 3), VARIANT_FULL, 1e-10),
+        (3, random_isometry(7, 3, 3, seed=5), VARIANT_FULL, 1e-10),
+        (5, random_isometry(7, 5, seed=3), VARIANT_FULL, 1e-12),
+        (3, random_isometry(11, 3, 3, seed=5), VARIANT_WEAK, 1e-12),
+        (5, random_isometry(11, 5, 5, seed=9), VARIANT_WEAK, 1e-12),
+    )
+    for p, attack, variant, tol in cases:
+        cfg = ProtocolConfig(p=p, attack=attack, variant=variant)
         acc = 0.0
-        for b1 in range(3):
+        for b1 in range(p):
             probs, fids = branch_table(
-                ProtocolConfig(p=3, b1=b1, attack=attack)
+                ProtocolConfig(p=p, b1=b1, attack=attack, variant=variant)
             )
-            acc += float(probs @ fids) / 3
-        assert attacked_fidelity(cfg) == pytest.approx(acc, abs=1e-10)
+            acc += float(probs @ fids) / p
+        assert attacked_fidelity(cfg) == pytest.approx(acc, abs=tol), (p, attack.label)
 
 
 # -- reconstruction against the transfer matrices ----------------------
