@@ -16,15 +16,10 @@ from .adversary import (
 from .classical_code import (
     ATTACKABLE_EDGES,
     EDGES,
-    CoefficientMatrix,
-    FlowAssignment,
-    attacked_coefficient_matrix,
     classical_secrecy_check,
-    coefficient_matrix,
-    evaluate_attacked_flow,
-    evaluate_flow,
     key_coefficient,
     recovery_check,
+    transfer_matrix,
 )
 from .engine import (
     DensityMatrix,
@@ -60,10 +55,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ATTACKABLE_EDGES",
     "AttackSpec",
-    "CoefficientMatrix",
     "DensityMatrix",
     "EDGES",
-    "FlowAssignment",
     "MEASURED_EDGES",
     "MeasurementResult",
     "ProtocolConfig",
@@ -75,14 +68,10 @@ __all__ = [
     "VARIANT_FULL",
     "VARIANT_WEAK",
     "analyze",
-    "attacked_coefficient_matrix",
     "attacked_fidelity",
     "branch_table",
     "classical_secrecy_check",
-    "coefficient_matrix",
     "enumerate_branches",
-    "evaluate_attacked_flow",
-    "evaluate_flow",
     "expected_environment_state",
     "fourier_basis_state",
     "identity_forward",
@@ -96,5 +85,6 @@ __all__ = [
     "recovery_check",
     "run",
     "trace_distance",
+    "transfer_matrix",
     "verify_independence",
 ]

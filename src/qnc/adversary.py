@@ -53,24 +53,13 @@ class AttackSpec:
     def d_env(self) -> int:
         return int(self.isometry.shape[0] // self.isometry.shape[1])
 
-    def channel_block(self, a: int, b: int, x: int, y: int) -> np.ndarray:
-        """Environment block <x| V |a><b| V† |y> of the tapped channel.
-
-        Entry (e, e') is V[(e, x), a] * conj(V[(e', y), b]); a d_env x d_env
-        matrix describing what the environment holds between wire basis
-        states x (ket side) and y (bra side).
-        """
-        p = self.p
-        ket = self.isometry[x::p, a % p]
-        bra = self.isometry[y::p, b % p]
-        return np.outer(ket, bra.conj())
-
     def leak_operator(self, b: int) -> np.ndarray:
         """Environment operator accompanying resent wire value b.
 
-        Sum over inputs a of channel_block(a, a, b, b); positive
-        semidefinite, and the b-sum over all wire values has unit-trace
-        normalization p (one trace unit per input state).
+        Sum over inputs a of the environment blocks with entry (e, e')
+        V[(e, b), a] * conj(V[(e', b), a]); positive semidefinite, and the
+        b-sum over all wire values has unit-trace normalization p (one trace
+        unit per input state).
         """
         rows = self.isometry[(b % self.p):: self.p, :]
         return rows @ rows.conj().T

@@ -32,11 +32,11 @@ from .adversary import (
 )
 from .classical_code import (
     ATTACKABLE_EDGES,
-    attacked_coefficient_matrix,
+    ROW_EDGES,
     classical_secrecy_check,
-    coefficient_matrix,
     key_coefficient,
     recovery_check,
+    transfer_matrix,
 )
 from .ffield import is_odd_prime
 from .protocol import VARIANT_FULL, VARIANT_WEAK, ProtocolConfig, run
@@ -176,6 +176,8 @@ def cmd_attack(args, parser) -> int:
     _check_prime(parser, args.p)
     variant = VARIANT_FLAGS[args.variant]
     seed = _resolve_seed(args.seed)
+    if args.d_e is not None and args.attack != "random":
+        parser.error(f"argument --d-e: applies to random attacks only, not {args.attack}")
     attack = make_attack(args.attack, args.edge, args.p, args.d_e, seed)
     report = _analyze_args(args, parser, attack, variant)
     verdict, witnesses = verify_independence(report, args.tol)
@@ -255,6 +257,17 @@ def cmd_sweep(args, parser) -> int:
     return 1 if mismatch else 0
 
 
+def _matrix_json(p: int, attacked_edge: int | None = None) -> dict:
+    columns = ["a1", "a2", "b1"] + ([] if attacked_edge is None else ["e1"])
+    return {
+        "p": p,
+        "row_edges": list(ROW_EDGES),
+        "columns": columns,
+        "rows": transfer_matrix(p, attacked_edge).tolist(),
+        "attacked_edge": attacked_edge,
+    }
+
+
 def cmd_classical(args, parser) -> int:
     _check_prime(parser, args.p)
     recovered = recovery_check(args.p)
@@ -266,11 +279,8 @@ def cmd_classical(args, parser) -> int:
         "recovery": recovered,
         "secrecy_bits": secrecy,
         "key_coefficients": key_coeffs,
-        "coefficient_matrix": coefficient_matrix(args.p).to_json(),
-        "attacked_matrices": {
-            str(e): attacked_coefficient_matrix(args.p, e).to_json()
-            for e in ATTACKABLE_EDGES
-        },
+        "coefficient_matrix": _matrix_json(args.p),
+        "attacked_matrices": {str(e): _matrix_json(args.p, e) for e in ATTACKABLE_EDGES},
     }
     _emit_json(report, args.out, args.no_timestamp)
     ok = recovered and all(v == 0.0 for v in secrecy.values()) and all(

@@ -210,11 +210,6 @@ class SparseState:
     def support_size(self) -> int:
         return len(self.amps)
 
-    def value_column(self, name: str) -> np.ndarray:
-        """Basis value of one register across the support, in iteration order."""
-        i = self.layout.index(name)
-        return np.array([key[i] for key in self.amps], dtype=np.int64)
-
     def to_vector(self, order: Sequence[str] | None = None) -> np.ndarray:
         """Dense amplitude vector; intended for small layouts and tests."""
         layout = self.layout if order is None else self.layout.subset(order)
@@ -225,13 +220,6 @@ class SparseState:
         for key, a in self.amps.items():
             vec[layout.ravel([key[i] for i in perm])] += a
         return vec
-
-    def to_json(self) -> dict:
-        entries = sorted(self.amps.items())
-        return {
-            "registers": [[n, d] for n, d in zip(self.layout.names, self.layout.dims)],
-            "amplitudes": [[list(k), a.real, a.imag] for k, a in entries],
-        }
 
     # -- gates ---------------------------------------------------------
 
@@ -421,53 +409,6 @@ class DensityMatrix:
             raise LayoutError(f"matrix shape {matrix.shape} does not match dimension {d}")
         self.layout = layout
         self.matrix = matrix
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def validate(self, atol: float = 1e-10) -> None:
-        """Check hermiticity, unit trace, and positivity up to ``atol``."""
-        if not np.allclose(self.matrix, self.matrix.conj().T, atol=atol):
-            raise ValueError("density matrix is not hermitian")
-        if abs(np.trace(self.matrix) - 1.0) > atol:
-            raise ValueError(f"trace {np.trace(self.matrix)} is not 1")
-        eigs = np.linalg.eigvalsh(self.matrix)
-        if eigs.min() < -atol:
-            raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
-
-    def reordered(self, order: Sequence[str]) -> "DensityMatrix":
-        new_layout = self.layout.subset(order)
-        perm = [self.layout.index(n) for n in order]
-        n = len(self.layout)
-        dims = self.layout.dims
-        t = self.matrix.reshape(dims + dims)
-        t = t.transpose(perm + [q + n for q in perm])
-        d = new_layout.total_dim
-        return DensityMatrix(new_layout, t.reshape(d, d))
-
-    def marginal(self, keep: Sequence[str]) -> "DensityMatrix":
-        """Partial trace down to the kept registers (original relative order)."""
-        keep = [n for n in self.layout.names if n in set(keep)]
-        ordered = self.reordered(keep + [n for n in self.layout.names if n not in keep])
-        dk = self.layout.subset(keep).total_dim
-        dt = ordered.layout.total_dim // dk
-        t = ordered.matrix.reshape(dk, dt, dk, dt)
-        return DensityMatrix(self.layout.subset(keep), np.einsum("atbt->ab", t))
-
-    def product_deviation(self, first_block: Sequence[str]) -> float:
-        """Trace distance to the product of the two block marginals.
-
-        Zero exactly when the state factorizes across the bipartition given
-        by ``first_block`` versus the remaining registers.
-        """
-        first = list(first_block)
-        second = [n for n in self.layout.names if n not in set(first)]
-        if not first or not second:
-            raise LayoutError("product_deviation needs a proper bipartition")
-        rho_a = self.marginal(first).matrix
-        rho_b = self.marginal(second).matrix
-        reordered = self.reordered(first + second)
-        return trace_distance(reordered.matrix, np.kron(rho_a, rho_b))
 
     def fidelity_with_pure(self, target: "SparseState | np.ndarray") -> float:
         """<psi|rho|psi> for a pure target given as state or dense vector."""

@@ -40,13 +40,6 @@ def record_digits(p: int, width: int, start: int, stop: int) -> np.ndarray:
     return (idx[:, None] // place[None, :]) % p
 
 
-def record_index(record: tuple[int, ...] | np.ndarray, p: int) -> int:
-    idx = 0
-    for d in record:
-        idx = idx * p + int(d) % p
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # the difference spectrum shared by both workloads
 # ---------------------------------------------------------------------------

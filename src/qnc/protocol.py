@@ -27,13 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .adversary import AttackSpec
-from .classical_code import (
-    FLOW_RULES,
-    ROW_EDGES,
-    _coeff,
-    attacked_coefficient_matrix,
-    coefficient_matrix,
-)
+from .classical_code import FLOW_RULES, ROW_EDGES, _coeff, transfer_matrix
 from .engine import PRUNE_TOL, RegisterLayout, SparseState, pure_overlap_fidelity
 from .ffield import validate_modulus
 
@@ -128,15 +122,6 @@ class Transcript:
         hidden = PADDED_EDGES if self.variant == VARIANT_FULL else (11,)
         return tuple(self.outcomes[e] for e in MEASURED_EDGES if e not in hidden)
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "variant": self.variant,
-            "outcomes": {str(e): c for e, c in sorted(self.outcomes.items())},
-            "padded_broadcast": list(self.padded_broadcast),
-            "eve_record": list(self.eve_record),
-        }
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -216,12 +201,12 @@ def support(config: ProtocolConfig, b1_values: Sequence[int]) -> Support:
         amp = np.full(len(inputs), 1.0 / p, dtype=np.complex128)
     else:
         amp = config.psi1[inputs[:, 0]] * config.psi2[inputs[:, 1]]
-    matrix = coefficient_matrix(p).rows
+    matrix = transfer_matrix(p)
     taps = amp[:, None]
     if config.attack is not None:
         z = inputs @ matrix[ROW_EDGES.index(config.attack.edge)] % p
         taps = taps * config.attack.isometry.T[z]
-        matrix = attacked_coefficient_matrix(p, config.attack.edge).rows
+        matrix = transfer_matrix(p, config.attack.edge)
     entry, row = np.nonzero(np.abs(taps) >= PRUNE_TOL)
     env, e1 = divmod(row, p)
     coords = np.column_stack([inputs[entry], env, e1])
@@ -265,11 +250,11 @@ def step3_measure(
 
 @lru_cache(maxsize=None)
 def recovery_columns(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The a1 and a2 columns of the honest coefficient matrix on MEASURED_EDGES.
+    """The a1 and a2 columns of the honest transfer matrix on MEASURED_EDGES.
 
-    Cached as int tuples; the matrix itself holds a mutable array.
+    Cached as int tuples; the matrix itself is a mutable array.
     """
-    rows = coefficient_matrix(p).rows[[ROW_EDGES.index(e) for e in MEASURED_EDGES]]
+    rows = transfer_matrix(p)[[ROW_EDGES.index(e) for e in MEASURED_EDGES]]
     return tuple(rows[:, 0].tolist()), tuple(rows[:, 1].tolist())
 
 
@@ -277,7 +262,7 @@ def recovery_exponents(transcript: Transcript) -> tuple[int, int]:
     """Per-sink phase correction exponents from the announced outcomes.
 
     Each sink contracts the transcript against the message column of the
-    honest coefficient matrix; the scrambling-key column only ever
+    honest transfer matrix; the scrambling-key column only ever
     contributes a global phase.
     """
     m1, m2 = recovery_columns(transcript.p)

@@ -71,13 +71,6 @@ def expected_environment_state(attack: AttackSpec) -> np.ndarray:
     return attack.total_leak() / attack.p
 
 
-def _wiretap_support(
-    config: ProtocolConfig, b1_values: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_wiretap_arrays`` of the post-transmission support over the keys."""
-    return _wiretap_arrays(config, support(config, b1_values))
-
-
 def _wiretap_arrays(
     config: ProtocolConfig, sup: Support
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

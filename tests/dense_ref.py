@@ -4,6 +4,8 @@ Deliberately implemented the heavy way: every gate becomes an explicit
 matrix over the whole product space, built by enumerating basis tuples, and
 measurement contracts a Fourier bra into the state tensor.  Nothing here is
 shared with the sparse engine, so agreement between the two is meaningful.
+``validate_density`` and ``channel_block`` are dense references for the
+density matrices and tap channels the package builds.
 """
 
 from __future__ import annotations
@@ -21,6 +23,31 @@ def haar_isometry(dim_in: int, dim_out: int, rng: np.random.Generator) -> np.nda
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def validate_density(rho, atol: float = 1e-10) -> None:
+    """Check that ``rho`` (a ``DensityMatrix``) is hermitian, of unit trace
+    and positive, up to ``atol``."""
+    m = rho.matrix
+    if not np.allclose(m, m.conj().T, atol=atol):
+        raise ValueError("density matrix is not hermitian")
+    if abs(np.trace(m) - 1.0) > atol:
+        raise ValueError(f"trace {np.trace(m)} is not 1")
+    eigs = np.linalg.eigvalsh(m)
+    if eigs.min() < -atol:
+        raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
+
+
+def channel_block(attack, a: int, b: int, x: int, y: int) -> np.ndarray:
+    """Environment block <x| V |a><b| V^+ |y> of an attack's tapped channel.
+
+    Entry (e, e') is V[(e, x), a] * conj(V[(e', y), b]): what the environment
+    holds between wire basis states x (ket side) and y (bra side).
+    """
+    p = attack.p
+    ket = attack.isometry[x::p, a % p]
+    bra = attack.isometry[y::p, b % p]
+    return np.outer(ket, bra.conj())
 
 
 class DenseState:

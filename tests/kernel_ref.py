@@ -7,12 +7,22 @@ arithmetic, sharing nothing with the vectorized reductions in
 after input normalization; ``conditional_states_loop`` takes the support
 that ``kernels.spectrum`` turns into the arguments of
 ``kernels.conditional_states``.  Both take the phase table
-``qnc.engine.phase_table(p)`` last.
+``qnc.engine.phase_table(p)`` last.  ``record_index`` is the inverse of
+``kernels.record_digits``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def record_index(record, p: int) -> int:
+    """Position of an announced record in lexicographic order, first digit
+    most significant."""
+    idx = 0
+    for d in record:
+        idx = idx * p + int(d) % p
+    return idx
 
 
 def branch_summary_loop(amp, zmeas, rest_index, h12, h13, weight, group,

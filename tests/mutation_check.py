@@ -30,6 +30,7 @@ WEAK_PAD_STATES = (
     "tests/test_security.py::test_analysis_matches_protocol_spot_records_under_weak_pad_haar",
 )
 SUPPORT = ("tests/test_protocol.py::test_support_equals_the_engine",)
+CRITERION_2 = "tests/test_acceptance.py::test_criterion_2_classical_code_recovers_and_hides"
 
 # name -> (file under src/qnc, snippet, replacement, tests that must fail)
 MUTATIONS = {
@@ -59,7 +60,7 @@ MUTATIONS = {
     ),
     "support-honest-rows-downstream": (
         "protocol.py",
-        "        matrix = attacked_coefficient_matrix(p, config.attack.edge).rows\n",
+        "        matrix = transfer_matrix(p, config.attack.edge)\n",
         "",
         SUPPORT,
     ),
@@ -83,6 +84,27 @@ MUTATIONS = {
         "bucket = b1 * config.attack.d_env + env",
         "bucket = b1",
         ("tests/test_security.py::test_attacked_fidelity_matches_branch_average",),
+    ),
+    # At p = 3, 1/2 = -1 = p - 1, so no check at p = 3 can see this slip.
+    "half-is-minus-one": (
+        "classical_code.py",
+        "        return inverse_of_two(p)\n",
+        "        return p - 1\n",
+        ("tests/test_security.py::test_weak_pad_keep_attack_is_frozen_at_larger_p",),
+    ),
+    "edge-4-without-key": (
+        "classical_code.py",
+        "vecs = {1: unit[0], 2: unit[1], 3: unit[2], 4: unit[2]}",
+        "vecs = {1: unit[0], 2: unit[1], 3: unit[2], 4: 0 * unit[2]}",
+        ("tests/test_classical_code.py::test_matrix_agrees_with_flow", CRITERION_2),
+    ),
+    # FLOW_RULES feeds the matrix and tests/flow_ref.py alike, so the two still
+    # agree; the sinks' recovery is what breaks.
+    "edge-12-sign-flipped": (
+        "classical_code.py",
+        "    12: ((11, \"half\"), (8, -1)),",
+        "    12: ((11, \"half\"), (8, 1)),",
+        ("tests/test_classical_code.py::test_recovery_exhaustive", CRITERION_2),
     ),
 }
 

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from qnc.classical_code import ATTACKABLE_EDGES, ROW_EDGES
 from qnc.cli import main
+from test_classical_code import EDGE7_ROWS_P3, HONEST_ROWS_P3
 
 
 def run_cli(argv):
@@ -192,6 +194,14 @@ def test_out_of_range_counts_are_usage_errors(argv, capsys):
     assert f"argument {flag}: must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["keep-phi0", "identity"])
+def test_d_e_with_a_non_random_attack_is_a_usage_error(kind, capsys):
+    """--d-e sizes a random attack's environment; a named attack fixes its
+    own, so the flag is refused rather than silently dropped."""
+    assert run_cli(["attack", "--edge", "9", "--attack", kind, "--d-e", "9"]) == 2
+    assert "argument --d-e" in capsys.readouterr().err
+
+
 # -- sweep -------------------------------------------------------------
 
 
@@ -264,8 +274,22 @@ def test_classical_report(tmp_path, capsys):
     assert set(blob["secrecy_bits"]) == {"5", "6", "7", "8", "9", "10", "11"}
     assert all(v == 0 for v in blob["secrecy_bits"].values())
     assert all(c != 0 for c in blob["key_coefficients"].values())
-    assert blob["coefficient_matrix"]["columns"] == ["a1", "a2", "b1"]
-    assert blob["attacked_matrices"]["7"]["columns"] == ["a1", "a2", "b1", "e1"]
+    row_edges = list(ROW_EDGES)
+    assert blob["coefficient_matrix"] == {
+        "p": 3,
+        "row_edges": row_edges,
+        "columns": ["a1", "a2", "b1"],
+        "rows": [list(HONEST_ROWS_P3[e]) for e in row_edges],
+        "attacked_edge": None,
+    }
+    assert blob["attacked_matrices"]["7"] == {
+        "p": 3,
+        "row_edges": row_edges,
+        "columns": ["a1", "a2", "b1", "e1"],
+        "rows": [list(EDGE7_ROWS_P3[e]) for e in row_edges],
+        "attacked_edge": 7,
+    }
+    assert sorted(blob["attacked_matrices"], key=int) == [str(e) for e in ATTACKABLE_EDGES]
 
 
 def test_classical_rejects_p2(capsys):

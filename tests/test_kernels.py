@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import kernel_ref
+from kernel_ref import record_index
 from qnc import kernels
 from qnc.adversary import keep_and_send_phi0, random_isometry
 from qnc.engine import phase_table
-from qnc.kernels import class_representatives, conditional_states, record_digits, record_index
+from qnc.kernels import class_representatives, conditional_states, record_digits
 from qnc.protocol import (
     GIVEN,
     MEASURED_EDGES,
@@ -13,8 +14,9 @@ from qnc.protocol import (
     ProtocolConfig,
     branch_table,
     enumerate_branches,
+    support,
 )
-from qnc.security import _wiretap_support
+from qnc.security import _wiretap_arrays
 
 
 def test_record_digit_expansion():
@@ -113,9 +115,9 @@ def test_branch_summary_matches_the_loop_on_nonzero_differences(p):
     np.testing.assert_allclose(fid, fid_ref, atol=1e-12)
 
 
-def _states(support, records, p, m):
+def _states(arrays, records, p, m):
     """The numpy path: the support's spectrum, evaluated on the records."""
-    amp, zvis, kept, group = support
+    amp, zvis, kept, group = arrays
     omega0, diffs, omega = kernels.spectrum(amp, group, zvis, kept, m, p)
     return conditional_states(records, omega0, diffs, omega, p), len(diffs)
 
@@ -131,12 +133,12 @@ def test_conditional_states_backends_agree():
         (ProtocolConfig(p=3, variant=VARIANT_WEAK, attack=keep_and_send_phi0(11, 3)), 2),
         (ProtocolConfig(p=3, variant=VARIANT_WEAK, attack=random_isometry(11, 3, 3, seed=5)), 2),
     ):
-        support = _wiretap_support(cfg, (0, 1, 2))
+        arrays = _wiretap_arrays(cfg, support(cfg, (0, 1, 2)))
         m = 9 * cfg.attack.d_env
-        records = np.random.default_rng(3).integers(0, 3, size=(10, support[1].shape[1]))
-        rho_np, found = _states(support, records, 3, m)
+        records = np.random.default_rng(3).integers(0, 3, size=(10, arrays[1].shape[1]))
+        rho_np, found = _states(arrays, records, 3, m)
         assert found == n_deltas
-        rho_loop = kernel_ref.conditional_states_loop(records, *support, 3, m, phase_table(3))
+        rho_loop = kernel_ref.conditional_states_loop(records, *arrays, 3, m, phase_table(3))
         np.testing.assert_allclose(rho_np, rho_loop, atol=1e-13, err_msg=cfg.attack.label)
 
 
@@ -159,11 +161,11 @@ def test_conditional_states_tiny_handmade_case():
             [[0.8125, off], [np.conj(off), 0.3125 - np.sqrt(3) / 8]],
         ]
     )
-    support = (amp, zvis, kept, group)
-    got, found = _states(support, records, 3, 2)
+    arrays = (amp, zvis, kept, group)
+    got, found = _states(arrays, records, 3, 2)
     assert found == 1
     np.testing.assert_allclose(got, expected, atol=1e-15, err_msg="numpy")
-    got = kernel_ref.conditional_states_loop(records, *support, 3, 2, phase_table(3))
+    got = kernel_ref.conditional_states_loop(records, *arrays, 3, 2, phase_table(3))
     np.testing.assert_allclose(got, expected, atol=1e-15, err_msg="loop")
 
 

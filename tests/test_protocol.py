@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qnc.adversary import keep_and_send_phi0, measure_and_resend, random_isometry
-from qnc.classical_code import ATTACKABLE_EDGES, coefficient_matrix
+from qnc.classical_code import ATTACKABLE_EDGES, ROW_EDGES, transfer_matrix
 from qnc.protocol import (
     CODED_EDGES,
     DEFAULT_ENUMERATION_CAP,
@@ -111,10 +111,10 @@ def test_step2_honest_state_matches_the_transfer_matrix(b1):
     """After transmission the support is exactly the matrix image, no phases."""
     p = 3
     st = step2_transmit(step1_initialize(ProtocolConfig(p=p, b1=b1)), ProtocolConfig(p=p, b1=b1))
-    m = coefficient_matrix(p)
+    m = transfer_matrix(p)
     expected = {}
     for a1, a2 in itertools.product(range(p), repeat=2):
-        z = m.apply({"a1": a1, "a2": a2, "b1": b1})
+        z = m @ np.array([a1, a2, b1]) % p
         expected[(a1, a2) + tuple(int(v) for v in z)] = 1 / p
     assert set(st.amps) == set(expected)
     for key, amp in st.amps.items():
@@ -206,9 +206,6 @@ def test_transcript_pad_and_eve_view():
         3, (0, 1, 2, 0, 1, 2, 0, 1, 2), variant=VARIANT_WEAK
     )
     assert weak.eve_record == (0, 1, 2, 0, 1, 2, 0, 1)  # only edge 11 hidden
-    blob = t.to_json()
-    assert blob["eve_record"] == [0, 1, 2, 0, 1, 2, 0]
-    assert blob["outcomes"]["10"] == 1
 
 
 # -- step 4 ------------------------------------------------------------
@@ -218,9 +215,9 @@ def test_recovery_exponents_contract_the_message_columns():
     p = 3
     record = (1, 0, 2, 1, 0, 2, 1, 0, 2)
     t = transcript_from_record(p, record)
-    m = coefficient_matrix(p)
-    r1 = sum(c * int(m.row(e)[0]) for c, e in zip(record, MEASURED_EDGES)) % p
-    r2 = sum(c * int(m.row(e)[1]) for c, e in zip(record, MEASURED_EDGES)) % p
+    m = transfer_matrix(p)
+    r1 = sum(c * int(m[ROW_EDGES.index(e), 0]) for c, e in zip(record, MEASURED_EDGES)) % p
+    r2 = sum(c * int(m[ROW_EDGES.index(e), 1]) for c, e in zip(record, MEASURED_EDGES)) % p
     assert recovery_exponents(t) == (r1, r2)
 
 

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from dense_ref import validate_density
+from kernel_ref import record_index
 from qnc import security
 from qnc.adversary import (
     identity_forward,
@@ -10,14 +12,9 @@ from qnc.adversary import (
     measure_and_resend,
     random_isometry,
 )
-from qnc.classical_code import (
-    ATTACKABLE_EDGES,
-    ROW_EDGES,
-    attacked_coefficient_matrix,
-    coefficient_matrix,
-)
+from qnc.classical_code import ATTACKABLE_EDGES, ROW_EDGES, transfer_matrix
 from qnc.engine import trace_distance
-from qnc.kernels import record_digits, record_index
+from qnc.kernels import record_digits
 from qnc.protocol import (
     GIVEN,
     MEASURED_EDGES,
@@ -109,8 +106,8 @@ def test_full_pad_is_secure_for_every_attack_style(attack):
     assert report.reference_deviation_from_maximally_mixed <= 1e-9
     assert report.record_uniformity <= 1e-9
     assert report.sigma_sum_match <= 1e-9
-    report.anchor_conditional.validate()
-    report.worst_conditional.validate()
+    validate_density(report.anchor_conditional)
+    validate_density(report.worst_conditional)
 
 
 def test_secure_conditionals_equal_the_product_form_exactly():
@@ -158,6 +155,51 @@ def test_weak_pad_reference_marginal_is_still_uniform():
     report = analyze(keep11_weak(), with_fidelity=False)
     assert report.reference_deviation_from_maximally_mixed <= 1e-10
     assert report.record_uniformity <= 1e-10
+
+
+def keep11_weak_anchor(p):
+    """The joint (ref1, ref2, env) state of the weak-pad keep-phi0 tap on
+    edge 11 at the all-zero record, built by hand: the kept wire holds
+    2(a1 + a2 + b1), the edge-11 row of the transfer matrix, and each
+    (a1, a1', a2, b1) entry has weight p^-3."""
+    anchor = np.zeros((p**3, p**3), dtype=complex)
+    for a1, a1p, a2, b1 in itertools.product(range(p), repeat=4):
+        e = 2 * (a1 + a2 + b1) % p
+        ep = 2 * (a1p + a2 + b1) % p
+        anchor[(a1 * p + a2) * p + e, (a1p * p + a2) * p + ep] += p**-3.0
+    return anchor
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_weak_pad_keep_attack_is_frozen_at_larger_p(p):
+    """The frozen negative control beyond p = 3, where 2, 1/2 and -1 are all
+    the same residue, so a slip between them cannot show.
+
+    Deviation: with s = 2(a2 + b1), which runs over F_p as b1 does, the
+    anchor is (I/p on ref2) x sigma, sigma = p^-1 sum_s |phi_s><phi_s| with
+    phi_s = p^-1/2 sum_a1 |a1, 2 a1 + s>.  The phi_s are orthonormal, so
+    sigma has p eigenvalues 1/p, and both its marginals are I/p.  Its
+    distance to the product I/p^2 is
+    1/2 [p (1/p - 1/p^2) + (p^2 - p) / p^2] = (p - 1)/p.
+
+    Fidelity: edge 11 does not reach sink 2, so ref2's pair survives.  The
+    environment's copy of 2(a1 + a2 + b1), with ref2 traced, removes every
+    coherence of ref1 between distinct a1, and the resent |phi0> leaves
+    sink 1 uniform in the computational basis, so ref1 and sink 1 meet the
+    maximally entangled state with weight 1/p * 1/p: fidelity 1/p^2.
+    """
+    report = analyze(ProtocolConfig(p=p, attack=keep_and_send_phi0(11, p), variant=VARIANT_WEAK))
+    verdict, _ = verify_independence(report, tol=1e-9)
+    anchor = keep11_weak_anchor(p)
+    blocks = anchor.reshape(p * p, p, p * p, p)
+    ref_marginal = np.einsum("iaja->ij", blocks)
+    env_marginal = np.einsum("iaib->ab", blocks)
+    frozen = trace_distance(anchor, np.kron(ref_marginal, env_marginal))
+    assert not verdict
+    assert np.abs(report.anchor_conditional.matrix - anchor).max() <= 1e-10
+    assert report.product_deviation == pytest.approx((p - 1) / p, abs=1e-9)
+    assert report.output_fidelity_under_attack == pytest.approx(p**-2.0, abs=1e-9)
+    assert frozen == pytest.approx((p - 1) / p, abs=1e-12)
 
 
 # -- exact deviations per record class ---------------------------------
@@ -323,18 +365,16 @@ def test_attacked_fidelity_matches_branch_average():
 def expected_attacked_support(p, b1, attack):
     """Support of the post-transmission state, built only from the attacked
     transfer matrix and the isometry columns, never from the engine."""
-    honest = coefficient_matrix(p)
-    attacked = attacked_coefficient_matrix(p, attack.edge)
+    honest = transfer_matrix(p)
+    attacked = transfer_matrix(p, attack.edge)
     amps = {}
     for a1, a2 in itertools.product(range(p), repeat=2):
-        z_tap = int(honest.row(attack.edge) @ np.array([a1, a2, b1])) % p
+        z_tap = int(honest[ROW_EDGES.index(attack.edge)] @ np.array([a1, a2, b1])) % p
         col = attack.isometry[:, z_tap]
         for flat in np.flatnonzero(np.abs(col) > 1e-14):
             e, x = divmod(int(flat), p)
             vec = np.array([a1, a2, b1, x])
-            key = (a1, a2) + tuple(
-                int(attacked.row(edge) @ vec) % p for edge in ROW_EDGES
-            ) + (e,)
+            key = (a1, a2) + tuple(int(v) for v in attacked @ vec % p) + (e,)
             amps[key] = amps.get(key, 0.0) + col[flat] / p
     return amps
 
