@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--edge", type=int, choices=ATTACKABLE_EDGES, required=True)
     sp.add_argument("--attack", choices=ATTACK_KINDS, default="random")
-    sp.add_argument("--d-e", type=int, default=None, dest="d_e",
+    sp.add_argument("--d-e", type=_count(1), default=None, dest="d_e",
                     help="environment dimension for random attacks (default p^2)")
     sp.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="full-pad")
     sp.add_argument("--tol", type=float, default=1e-9)
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="sweep random attacks over all edges")
     common(sp)
     sp.add_argument("--attacks-per-edge", type=_count(0), default=20)
-    sp.add_argument("--d-e-cycle", type=int, nargs="+", default=[1, 3, 9],
+    sp.add_argument("--d-e-cycle", type=_count(1), nargs="+", default=[1, 3, 9],
                     dest="d_e_cycle", help="environment dimensions to cycle through")
     sp.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="full-pad")
     sp.add_argument("--tol", type=float, default=1e-9)

@@ -14,16 +14,17 @@ Omega_0 = sum A A^+ and each pair i < j of rows in one bucket adds A_i A_j^+
 to the Omega of its difference delta = pos_i - pos_j (mod p).  So the cost is
 one gemm plus the pairs within buckets, never records x support.
 
-(a) is the scalar case m = 1: buckets are rest indices (or overlap groups)
-and ``_evaluate`` sums the spectrum over all p^n records at once.  (b) has
-buckets = traced groups and coefficient a_i e_kept_i, m = p^2 d_env;
-``conditional_states`` evaluates it for a batch of records.  Every protocol
-support measured gives (a) delta = 0 alone, so a constant table; in (b) the
-full pad gives delta = 0 alone, so record-independent states, while taps on
-the weak pad's edge 11 carry non-zero deltas.  Supports come from
-``protocol.support``; the attacked fidelity is (a)'s overlap W_0 alone
-(``scalar_w0``).  ``tests/kernel_ref.py`` holds the plain loops both are
-checked against.
+(a) is the scalar case m = 1, twice: the norm has buckets = rest indices,
+and the overlap terms that ``protocol.overlap_terms`` picks have buckets =
+(key, environment); ``_evaluate`` sums each spectrum over all p^n records at
+once.  (b) has buckets = traced groups and coefficient a_i e_kept_i,
+m = p^2 d_env; ``conditional_states`` evaluates it for a batch of records.
+Every protocol support measured gives (a) delta = 0 alone, so a constant
+table; in (b) the full pad gives delta = 0 alone, so record-independent
+states, while taps on the weak pad's edge 11 carry non-zero deltas.
+Supports come from ``protocol.support``; the attacked fidelity is W_0 of the
+same overlap terms alone (``scalar_w0``).  ``tests/kernel_ref.py`` holds the
+plain loops both are checked against.
 """
 
 from __future__ import annotations
@@ -132,12 +133,9 @@ def branch_summary(
     amp: np.ndarray,
     zmeas: np.ndarray,
     rest_index: np.ndarray,
-    h12: np.ndarray,
-    h13: np.ndarray,
-    weight: np.ndarray,
-    group: np.ndarray,
-    m1: np.ndarray,
-    m2: np.ndarray,
+    coef: np.ndarray,
+    bucket: np.ndarray,
+    pos: np.ndarray,
     p: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probability and output fidelity of every announced-outcome branch.
@@ -145,19 +143,18 @@ def branch_summary(
     The state after transmission is given as a support list: amplitudes
     ``amp``, measured-wire values ``zmeas`` (one column per measured wire in
     announcement order), and a compressed index ``rest_index`` over the
-    unmeasured basis tuples.  Per rest index, ``h12``/``h13`` are the sink
-    wire values entering the announced-record phase correction (coefficient
-    columns ``m1``/``m2``), ``weight`` is the conjugated target amplitude,
-    and ``group`` collects overlap terms that add coherently (-1 for basis
-    states orthogonal to the target).  Records run in lexicographic order,
-    first measured wire most significant; probabilities sum to one.
+    unmeasured basis tuples.  Its overlap with the ideal output after the
+    sinks' correction is given as terms: ``coef`` (amplitude times the
+    conjugated target amplitude), ``bucket`` (terms that add coherently) and
+    ``pos`` (the record position each term's phase follows), as
+    ``protocol.overlap_terms`` returns them.  Records run in lexicographic
+    order, first measured wire most significant; probabilities sum to one.
 
     Both quantities come from ``spectrum`` with m = 1: p^n prob(r) is the
     delta sum over the support bucketed by rest index, and the overlap the
-    delta sum of a_i weight[rest_i] bucketed by group (>= 0) at the
-    positions z - h12 m1 - h13 m2.  The cost is O(pairs within buckets +
-    p^n x number of deltas), with no records x support array; records whose
-    norm is zero get fidelity zero.
+    delta sum over the terms.  The cost is O(pairs within buckets + p^n x
+    number of deltas), with no records x support array; records whose norm
+    is zero get fidelity zero.
     """
     amp = np.asarray(amp, dtype=np.complex128)
     zmeas = np.asarray(zmeas, dtype=np.int64) % p
@@ -165,14 +162,7 @@ def branch_summary(
     width = zmeas.shape[1]
     norm = _evaluate(*_scalar_spectrum(amp, rest_index, zmeas, p), p, width)
     np.maximum(norm, 0.0, out=norm)  # a sum of |.|^2: clip round-off below zero
-
-    # overlap terms carry the record phase at z - h12 m1 - h13 m2
-    grp = np.asarray(group, dtype=np.int64)[rest_index]
-    on = grp >= 0
-    rest_on = rest_index[on]
-    shift = np.outer(np.asarray(h12)[rest_on], m1) + np.outer(np.asarray(h13)[rest_on], m2)
-    coef = amp[on] * np.asarray(weight, dtype=np.complex128)[rest_on]
-    overlap = _evaluate(*_scalar_spectrum(coef, grp[on], (zmeas[on] - shift) % p, p), p, width)
+    overlap = _evaluate(*_scalar_spectrum(coef, bucket, pos, p), p, width)
 
     # in place: the two p^n arrays returned are the only ones allocated
     overlap[norm <= 0.0] = 0.0

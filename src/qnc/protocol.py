@@ -14,7 +14,9 @@ which each sink wire holds the teleported message wire exactly.
 The steps run on the dict-based ``SparseState`` engine, the literal oracle
 behind ``run`` and ``enumerate_branches``.  The fast paths (``branch_table``
 and the ``security`` analysis) read ``support`` instead: the same
-post-transmission state as arrays, built from the transfer matrix.
+post-transmission state as arrays, built from the transfer matrix.  Which of
+its entries overlap the ideal output (``overlap_terms``) and which outcomes
+the wiretapper sees (``visible_edges``) are decided here, once for both.
 """
 
 from __future__ import annotations
@@ -45,15 +47,24 @@ PADDED_EDGES: tuple[int, ...] = (10, 11)
 # Coherent adders are applied in edge order; sinks keep edges 12 and 13.
 CODED_EDGES: tuple[int, ...] = (5, 6, 7, 8, 9, 10, 11, 12, 13)
 
-DEFAULT_ENUMERATION_CAP = 3**10
+ENUMERATION_CAP = 3**10
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Raised when a branch enumeration would exceed the configured cap."""
+    """Raised when a branch enumeration would exceed ``ENUMERATION_CAP``."""
 
 
 def wire(edge: int) -> str:
     return f"H{edge}"
+
+
+def visible_edges(variant: str) -> tuple[int, ...]:
+    """Measured edges whose announced outcomes reach the wiretapper unpadded:
+    the full pad hides ``PADDED_EDGES``, the weak pad edge 11 alone."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    hidden = PADDED_EDGES if variant == VARIANT_FULL else (11,)
+    return tuple(e for e in MEASURED_EDGES if e not in hidden)
 
 
 @dataclass(frozen=True)
@@ -119,8 +130,7 @@ class Transcript:
     @property
     def eve_record(self) -> tuple[int, ...]:
         """Outcomes visible to the wiretapper, in measurement order."""
-        hidden = PADDED_EDGES if self.variant == VARIANT_FULL else (11,)
-        return tuple(self.outcomes[e] for e in MEASURED_EDGES if e not in hidden)
+        return tuple(self.outcomes[e] for e in visible_edges(self.variant))
 
 
 @dataclass(frozen=True)
@@ -185,14 +195,15 @@ class Support:
         return self.values[:, [ROW_EDGES.index(e) for e in edges]]
 
 
-def support(config: ProtocolConfig, b1_values: Sequence[int]) -> Support:
-    """The state ``step2_transmit`` builds, mixed uniformly over ``b1_values``,
-    from the transfer matrix applied to (a1, a2, b1), plus e1 under attack.  A
-    tap multiplies the amplitude by V[(env, e1), z], z being the tapped edge's
-    honest value; entries below ``PRUNE_TOL`` are dropped, as the engine drops
-    them.  Amplitudes carry the 1/sqrt(len(b1_values)) mixture weight."""
+def support(config: ProtocolConfig, b1_values: Sequence[int] | None = None) -> Support:
+    """The state ``step2_transmit`` builds, mixed uniformly over ``b1_values``
+    (every key by default), from the transfer matrix applied to (a1, a2, b1),
+    plus e1 under attack.  A tap multiplies the amplitude by V[(env, e1), z],
+    z being the tapped edge's honest value; entries below ``PRUNE_TOL`` are
+    dropped, as the engine drops them.  Amplitudes carry the
+    1/sqrt(len(b1_values)) mixture weight."""
     p = config.p
-    keys = np.asarray(b1_values, dtype=np.int64) % p
+    keys = np.arange(p) if b1_values is None else np.asarray(b1_values, dtype=np.int64) % p
     if keys.size == 0 or len(set(keys.tolist())) < keys.size:
         raise ValueError(f"b1_values must be one or more distinct keys mod {p}")
     grid = np.meshgrid(np.arange(p), np.arange(p), keys, indexing="ij")
@@ -216,35 +227,26 @@ def support(config: ProtocolConfig, b1_values: Sequence[int]) -> Support:
 
 
 def step3_measure(
-    state: SparseState,
-    config: ProtocolConfig,
-    rng: np.random.Generator | None = None,
-    forced: dict[int, int] | None = None,
+    state: SparseState, config: ProtocolConfig, rng: np.random.Generator | None = None
 ) -> tuple[SparseState, Transcript, float]:
-    """Measure the nine upstream wires in the Fourier basis.
+    """Measure the nine upstream wires in the Fourier basis, sampling each
+    outcome from ``rng`` (by default seeded with ``config.seed``).
 
     Outcomes are announced in the negated labeling, chosen so that the
     Step 4 exponents cancel the measurement phases without an extra sign
-    flip.  ``forced`` pins outcomes (in announced convention) per edge for
-    branch enumeration; everything else is sampled from ``rng``.  Returns
-    the post-measurement state, the transcript, and the branch probability.
+    flip.  Returns the post-measurement state, the transcript, and the
+    branch probability.
     """
-    p = config.p
-    forced = forced or {}
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
     outcomes: dict[int, int] = {}
     probability = 1.0
     for edge in MEASURED_EDGES:
-        if edge in forced:
-            engine_outcome = (-forced[edge]) % p
-            result = state.measure_x_basis(wire(edge), outcome=engine_outcome, allow_zero=True)
-        else:
-            result = state.measure_x_basis(wire(edge), rng=rng)
-        outcomes[edge] = (-result.outcome) % p
+        result = state.measure_x_basis(wire(edge), rng=rng)
+        outcomes[edge] = (-result.outcome) % config.p
         probability *= result.probability
         state = result.state
-        if result.probability == 0.0:
-            break
-    transcript = Transcript(p=p, variant=config.variant, outcomes=outcomes, b2=config.b2)
+    transcript = Transcript(p=config.p, variant=config.variant, outcomes=outcomes, b2=config.b2)
     return state, transcript, probability
 
 
@@ -309,96 +311,89 @@ def output_fidelity(state: SparseState, config: ProtocolConfig, target: SparseSt
     return reduced.fidelity_with_pure(target)
 
 
+def _finish(state: SparseState, config: ProtocolConfig, transcript: Transcript,
+            probability: float, target: SparseState) -> RunResult:
+    """Step 4 on one measured branch, and its fidelity with ``target``."""
+    final = step4_recover(state, transcript)
+    return RunResult(final, transcript, probability, output_fidelity(final, config, target))
+
+
 def run(config: ProtocolConfig, rng: np.random.Generator | None = None) -> RunResult:
     """Execute one full protocol run, sampling the measurement branch."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    state = step1_initialize(config)
-    state = step2_transmit(state, config)
-    state, transcript, probability = step3_measure(state, config, rng=rng)
-    state = step4_recover(state, transcript)
-    return RunResult(
-        final_state=state,
-        transcript=transcript,
-        branch_probability=probability,
-        fidelity=output_fidelity(state, config, ideal_output_state(config)),
-    )
+    state = step2_transmit(step1_initialize(config), config)
+    state, transcript, probability = step3_measure(state, config, rng)
+    return _finish(state, config, transcript, probability, ideal_output_state(config))
 
 
 def enumerate_branches(
-    config: ProtocolConfig,
-    registers: Sequence[int] | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    rng: np.random.Generator | None = None,
-    forced: dict[int, int] | None = None,
+    config: ProtocolConfig, forced: dict[int, int] | None = None
 ) -> Iterator[RunResult]:
-    """Yield every nonzero-probability branch over the chosen measured edges.
+    """Yield every nonzero-probability branch of Steps 3-4.
 
-    ``registers`` lists the edges to enumerate (all nine by default); edges
-    in ``forced`` are pinned to the given announced outcome (their branch
-    weight multiplies in); any remaining measured edges are sampled per
-    branch from ``rng``.  Without forcing, branch probabilities sum to one.
-    This path computes a fidelity per leaf, for attacked runs via a partial
-    trace, which is the slow, obviously-correct route; the vectorized
-    kernels exist for bulk work.
+    Edges in ``forced`` are pinned to the given announced outcome (their
+    branch weight multiplies in); every other measured edge is enumerated.
+    Without forcing, branch probabilities sum to one.  This path computes a
+    fidelity per leaf, for attacked runs via a partial trace, which is the
+    slow, obviously-correct route; the vectorized kernels exist for bulk
+    work.
     """
+    p = config.p
     forced = forced or {}
-    edges = tuple(e for e in (MEASURED_EDGES if registers is None else registers)
-                  if e not in forced)
-    for e in tuple(edges) + tuple(forced):
+    for e in forced:
         if e not in MEASURED_EDGES:
             raise ValueError(f"edge {e} is not measured in Step 3")
-    if config.p ** len(edges) > cap:
-        raise EnumerationCapExceeded(
-            f"{config.p}^{len(edges)} branches exceed the cap of {cap}"
-        )
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    base = step2_transmit(step1_initialize(config), config)
+    free = len(MEASURED_EDGES) - len(forced)
+    if p**free > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"{p}^{free} branches exceed the cap of {ENUMERATION_CAP}")
     target = ideal_output_state(config)
-    enumerate_set = set(edges)
 
-    def descend(
-        state: SparseState, position: int, outcomes: dict[int, int], prob: float
-    ) -> Iterator[RunResult]:
-        if position == len(MEASURED_EDGES):
-            transcript = Transcript(
-                p=config.p, variant=config.variant, outcomes=dict(outcomes), b2=config.b2
-            )
-            final = step4_recover(state, transcript)
-            yield RunResult(
-                final_state=final,
-                transcript=transcript,
-                branch_probability=prob,
-                fidelity=output_fidelity(final, config, target),
-            )
+    def descend(state: SparseState, outcomes: tuple[int, ...], prob: float) -> Iterator[RunResult]:
+        if len(outcomes) == len(MEASURED_EDGES):
+            transcript = Transcript(p=p, variant=config.variant,
+                                    outcomes=dict(zip(MEASURED_EDGES, outcomes)), b2=config.b2)
+            yield _finish(state, config, transcript, prob, target)
             return
-        edge = MEASURED_EDGES[position]
-        if edge in enumerate_set or edge in forced:
-            if edge in enumerate_set:
-                # all p branches of the edge from one pass over the state
-                results = state.measure_x_basis_all(wire(edge))
-                branches = [(a, results[(-a) % config.p]) for a in range(config.p)]
-            else:
-                announced = forced[edge]
-                branches = [(announced, state.measure_x_basis(
-                    wire(edge), outcome=(-announced) % config.p, allow_zero=True
-                ))]
-            for announced, result in branches:
-                if result.probability == 0.0:
-                    continue
-                outcomes[edge] = announced
-                yield from descend(
-                    result.state, position + 1, outcomes, prob * result.probability
-                )
-                del outcomes[edge]
+        edge = MEASURED_EDGES[len(outcomes)]
+        if edge in forced:
+            announced = forced[edge]
+            branches = [(announced, state.measure_x_basis(
+                wire(edge), outcome=(-announced) % p, allow_zero=True
+            ))]
         else:
-            result = state.measure_x_basis(wire(edge), rng=rng)
-            outcomes[edge] = (-result.outcome) % config.p
-            yield from descend(result.state, position + 1, outcomes, prob)
-            del outcomes[edge]
+            # all p branches of the edge from one pass over the state
+            results = state.measure_x_basis_all(wire(edge))
+            branches = [(a, results[(-a) % p]) for a in range(p)]
+        for a, result in branches:
+            if result.probability > 0.0:
+                yield from descend(result.state, outcomes + (a,), prob * result.probability)
 
-    yield from descend(base, 0, {}, 1.0)
+    yield from descend(step2_transmit(step1_initialize(config), config), (), 1.0)
+
+
+def overlap_terms(
+    config: ProtocolConfig, sup: Support
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The support entries that overlap the ideal output after Step 4, as
+    (coef, bucket, pos) for the kernels' scalar spectrum.
+
+    coef is the amplitude times the conjugated target amplitude: entangled
+    inputs keep the entries whose sink wires hold the references, at target
+    amplitude 1/p; given inputs weigh every entry by psi1[h12] psi2[h13].
+    Terms add coherently within a (key, environment) bucket, and the sinks'
+    correction puts each at the record position z - h12 m1 - h13 m2.
+    """
+    p = config.p
+    a1, a2, b1, env, _ = sup.coords.T
+    h12, h13 = sup.edges((12, 13)).T
+    m1, m2 = (np.array(c, dtype=np.int64) for c in recovery_columns(p))
+    shift = np.outer(h12, m1) + np.outer(h13, m2)
+    pos = (sup.edges(MEASURED_EDGES) - shift) % p
+    d_env = 1 if config.attack is None else config.attack.d_env
+    bucket = b1 * d_env + env
+    if config.input_mode == GIVEN:
+        return sup.amp * (config.psi1[h12] * config.psi2[h13]).conj(), bucket, pos
+    on = (a1 == h12) & (a2 == h13)
+    return sup.amp[on] / p, bucket[on], pos[on]
 
 
 def branch_table(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -407,29 +402,20 @@ def branch_table(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
     The vectorized counterpart of a full ``enumerate_branches`` sweep:
     returns two arrays of length p^9 indexed by the announced record in
     lexicographic order (first measured wire most significant).  The
-    post-transmission ``support`` goes to ``kernels.branch_summary``, which
-    sums its difference (delta) spectrum: O(pairs within buckets + p^9 x
-    number of deltas), a constant table when only delta = 0 occurs, as for
-    every honest run.  Cross-checked against the generator in the tests.
+    post-transmission ``support``, bucketed by its unmeasured registers, and
+    its ``overlap_terms`` go to ``kernels.branch_summary``, which sums their
+    difference (delta) spectra: O(pairs within buckets + p^9 x number of
+    deltas), a constant table when only delta = 0 occurs, as for every honest
+    run.  Cross-checked against the generator in the tests.
     """
     from .kernels import branch_summary
 
-    p = config.p
     sup = support(config, (config.b1,))
     a1, a2, _, env, _ = sup.coords.T
     h12, h13 = sup.edges((12, 13)).T
     # the unmeasured registers: references (entangled mode), sinks, environment
     rest = [h12, h13, env] if config.input_mode == GIVEN else [a1, a2, h12, h13, env]
-    uniq, rest_index = np.unique(np.stack(rest, axis=1), axis=0, return_inverse=True)
-    u12, u13, uenv = uniq[:, -3:].T
-    if config.input_mode == ENTANGLED:
-        matched = (uniq[:, 0] == u12) & (uniq[:, 1] == u13)
-        weight = np.where(matched, 1.0 / p, 0.0).astype(np.complex128)
-        group = np.where(matched, uenv, -1)
-    else:
-        weight = (config.psi1[u12] * config.psi2[u13]).conj()
-        group = uenv
-    m1, m2 = (np.array(c, dtype=np.int64) for c in recovery_columns(p))
+    _, rest_index = np.unique(np.stack(rest, axis=1), axis=0, return_inverse=True)
     return branch_summary(
-        sup.amp, sup.edges(MEASURED_EDGES), rest_index.ravel(), u12, u13, weight, group, m1, m2, p
+        sup.amp, sup.edges(MEASURED_EDGES), rest_index.ravel(), *overlap_terms(config, sup), config.p
     )

@@ -9,13 +9,14 @@ recovery step acts only on traced registers, so omitting it changes
 nothing; a test exercises the slow path with recovery applied to confirm).
 
 Both the states and the attacked fidelity read ``protocol.support``, built
-once per ``analyze`` from the transfer matrix.  The states come from one
-difference spectrum (``kernels.spectrum``): the support is bucketed by
-traced group (hidden wires, sink wires, key) with the visible record digits
-as positions and a_i e_kept_i as coefficients, so rho_r = Omega_0 +
-sum_delta (w^(r . delta) Omega_delta + h.c.) over the non-zero record
-differences delta inside a group.  On every full-pad input measured only
-delta = 0 occurs, so every state is Omega_0.  Memory is the spectrum,
+once per ``analyze`` from the transfer matrix; ``protocol.visible_edges``
+and ``protocol.overlap_terms`` pick the record digits and the overlap.  The
+states come from one difference spectrum (``kernels.spectrum``): the support
+is bucketed by traced group (hidden wires, sink wires, key) with the visible
+record digits as positions and a_i e_kept_i as coefficients, so rho_r =
+Omega_0 + sum_delta (w^(r . delta) Omega_delta + h.c.) over the non-zero
+record differences delta inside a group.  On every full-pad input measured
+only delta = 0 occurs, so every state is Omega_0.  Memory is the spectrum,
 m x m per delta with m = p^2 d_env, plus one batch of records sized to
 ``_BATCH_BYTES``.
 
@@ -41,12 +42,11 @@ from .kernels import class_representatives, conditional_states, record_digits, s
 from .protocol import (
     ENTANGLED,
     MEASURED_EDGES,
-    VARIANT_FULL,
-    VARIANTS,
     ProtocolConfig,
     Support,
-    recovery_columns,
+    overlap_terms,
     support,
+    visible_edges,
 )
 # not called here; kept importable because qncbench/tracing.py lists it in WRAPPED
 from .protocol import step2_transmit  # noqa: F401
@@ -56,14 +56,6 @@ DEFAULT_SAMPLES = 512
 # bytes of one batch of conditional states (records x n_kept^2 complex);
 # analyze holds a few arrays of this size at once
 _BATCH_BYTES = 4 << 20
-
-
-def visible_edges(variant: str) -> tuple[int, ...]:
-    """Measured edges whose announced outcomes reach the wiretapper unpadded."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    hidden = (10, 11) if variant == VARIANT_FULL else (11,)
-    return tuple(e for e in MEASURED_EDGES if e not in hidden)
 
 
 def expected_environment_state(attack: AttackSpec) -> np.ndarray:
@@ -142,20 +134,24 @@ class SecurityReport:
     elapsed_seconds: float = 0.0
     _spectrum: _WiretapSpectrum = field(default=None, repr=False)  # type: ignore[assignment]
 
+    def _state(self, record: Sequence[int]) -> np.ndarray:
+        """Unnormalized state of one record: a digit in [0, p) per record edge."""
+        rec = np.asarray([record], dtype=np.int64)
+        if rec.shape != (1, len(self.record_edges)) or rec.min() < 0 or rec.max() >= self.p:
+            raise ValueError(f"record must be {len(self.record_edges)} digits in [0, {self.p})")
+        return self._spectrum.states(rec)[0]
+
     def conditional(self, record: Sequence[int]) -> DensityMatrix:
         """Exact conditional joint state for one announced record."""
-        rec = np.asarray([record], dtype=np.int64)
-        if rec.shape != (1, len(self.record_edges)):
-            raise ValueError(f"record must have {len(self.record_edges)} entries")
-        rho = self._spectrum.states(rec)[0]
+        rho = self._state(record)
         tr = float(np.trace(rho).real)
         if tr <= 0.0:
             raise ValueError(f"record {tuple(record)} has zero probability")
         return DensityMatrix(self._spectrum.kept_layout, rho / tr)
 
     def record_probability(self, record: Sequence[int]) -> float:
-        rho = self._spectrum.states(np.asarray([record], dtype=np.int64))[0]
-        return float(np.trace(rho).real) * float(self.p) ** (-len(self.record_edges))
+        tr = float(np.trace(self._state(record)).real)
+        return tr * float(self.p) ** (-len(self.record_edges))
 
     def to_json(self) -> dict:
         out = {name: getattr(self, name) for name in _JSON_SCALARS}
@@ -215,8 +211,7 @@ def analyze(
         raise ValueError("analyze requires entangled-halves inputs")
     t0 = time.perf_counter()
     p = config.p
-    b1s = tuple(range(p)) if b1_values is None else tuple(v % p for v in b1_values)
-    sup = support(config, b1s)
+    sup = support(config, b1_values)
     spec = _wiretap_spectrum(config, sup)
     visible = visible_edges(config.variant)
     n_vis = len(visible)
@@ -282,7 +277,7 @@ def analyze(
     report.anchor_record = (0,) * n_vis
     report.anchor_conditional = report.conditional(report.anchor_record)
     if with_fidelity:
-        report.output_fidelity_under_attack = _fidelity(config, sup)
+        report.output_fidelity_under_attack = scalar_w0(*overlap_terms(config, sup), p)
     report.elapsed_seconds = time.perf_counter() - t0
     return report
 
@@ -317,35 +312,19 @@ def verify_independence(report: SecurityReport, tol: float = 1e-9) -> tuple[bool
     return not failures, witnesses
 
 
-def attacked_fidelity(
-    config: ProtocolConfig, b1_values: Sequence[int] | None = None
-) -> float:
-    """Branch-averaged fidelity of the recovered state with the ideal output.
+def attacked_fidelity(config: ProtocolConfig) -> float:
+    """Branch-averaged fidelity of the recovered state with the ideal output,
+    the scrambling key averaged uniformly over F_p.
 
     Computed in closed form as the delta = 0 term W_0 of the overlap
-    spectrum (``kernels.scalar_w0``): sum_r prob(r) fid(r) is p^-n times the
-    record sum of the overlap, over which every non-zero delta cancels.
-    Agrees with the key average of ``protocol.branch_table`` (see tests) but
-    costs one pass over the support instead of O(p^9).
+    spectrum (``kernels.scalar_w0`` of ``protocol.overlap_terms``):
+    sum_r prob(r) fid(r) is p^-n times the record sum of the overlap, over
+    which every non-zero delta cancels.  Agrees with the key average of
+    ``protocol.branch_table`` (see tests) but costs one pass over the
+    support instead of O(p^9).
     """
     if config.attack is None:
         raise ValueError("attacked_fidelity requires a configured attack")
     if config.input_mode != ENTANGLED:
         raise ValueError("attacked_fidelity requires entangled-halves inputs")
-    p = config.p
-    b1s = tuple(range(p)) if b1_values is None else tuple(v % p for v in b1_values)
-    return _fidelity(config, support(config, b1s))
-
-
-def _fidelity(config: ProtocolConfig, sup: Support) -> float:
-    """W_0 of the overlap spectrum, bucketed by (key, environment) at the
-    correction-adjusted measured values; only entries whose sink wires hold
-    the references overlap the target, whose amplitude there is 1/p."""
-    p = config.p
-    a1, a2, b1, env, _ = sup.coords.T
-    h12, h13 = sup.edges((12, 13)).T
-    on = (a1 == h12) & (a2 == h13)
-    m1, m2 = (np.array(c, dtype=np.int64) for c in recovery_columns(p))
-    adjusted = (sup.edges(MEASURED_EDGES) - np.outer(h12, m1) - np.outer(h13, m2)) % p
-    bucket = b1 * config.attack.d_env + env
-    return scalar_w0(sup.amp[on] / p, bucket[on], adjusted[on], p)
+    return scalar_w0(*overlap_terms(config, support(config)), config.p)

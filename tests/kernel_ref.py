@@ -4,9 +4,9 @@ Each function walks records and support terms one at a time with scalar
 arithmetic, sharing nothing with the vectorized reductions in
 ``qnc.kernels``, so agreement between the two is meaningful.
 ``branch_summary_loop`` takes the arguments of ``kernels.branch_summary``
-after input normalization; ``conditional_states_loop`` takes the support
-that ``kernels.spectrum`` turns into the arguments of
-``kernels.conditional_states``.  Both take the phase table
+after input normalization: the support, then its overlap terms.
+``conditional_states_loop`` takes the support that ``kernels.spectrum``
+turns into the arguments of ``kernels.conditional_states``.  Both take the phase table
 ``qnc.engine.phase_table(p)`` last.  ``record_index`` is the inverse of
 ``kernels.record_digits``.
 """
@@ -25,17 +25,16 @@ def record_index(record, p: int) -> int:
     return idx
 
 
-def branch_summary_loop(amp, zmeas, rest_index, h12, h13, weight, group,
-                        m1, m2, p, table):
+def branch_summary_loop(amp, zmeas, rest_index, coef, bucket, pos, p, table):
+    """prob(r) from the support summed per rest index, and the overlap from
+    the terms summed per bucket, each term at phase w^(r . pos)."""
     k_count, n_meas = zmeas.shape
-    n_rest = len(h12)
-    n_groups = int(np.max(group, initial=-1)) + 1
+    n_rest = int(np.max(rest_index, initial=-1)) + 1
     n_branches = p**n_meas
     prob = np.zeros(n_branches, dtype=np.float64)
     fid = np.zeros(n_branches, dtype=np.float64)
     digits = np.zeros(n_meas, dtype=np.int64)
     vec = np.zeros(n_rest, dtype=np.complex128)
-    acc = np.zeros(n_groups, dtype=np.complex128)
     inv_total = 1.0 / float(n_branches)
     for b in range(n_branches):
         for r in range(n_rest):
@@ -49,20 +48,14 @@ def branch_summary_loop(amp, zmeas, rest_index, h12, h13, weight, group,
         for r in range(n_rest):
             z = vec[r]
             norm2 += z.real * z.real + z.imag * z.imag
-        r1 = 0
-        r2 = 0
-        for k in range(n_meas):
-            r1 += digits[k] * m1[k]
-            r2 += digits[k] * m2[k]
-        for g in range(n_groups):
-            acc[g] = 0.0
-        for r in range(n_rest):
-            g = group[r]
-            if g >= 0:
-                acc[g] += vec[r] * weight[r] * table[(-(r1 * h12[r] + r2 * h13[r])) % p]
+        acc = {}
+        for i in range(len(coef)):
+            e = 0
+            for k in range(n_meas):
+                e += digits[k] * pos[i, k]
+            acc[bucket[i]] = acc.get(bucket[i], 0.0) + coef[i] * table[e % p]
         overlap = 0.0
-        for g in range(n_groups):
-            z = acc[g]
+        for z in acc.values():
             overlap += z.real * z.real + z.imag * z.imag
         prob[b] = norm2 * inv_total
         fid[b] = overlap / norm2 if norm2 > 0.0 else 0.0

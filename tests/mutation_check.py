@@ -30,6 +30,7 @@ WEAK_PAD_STATES = (
     "tests/test_security.py::test_analysis_matches_protocol_spot_records_under_weak_pad_haar",
 )
 SUPPORT = ("tests/test_protocol.py::test_support_equals_the_engine",)
+BRANCHES_VS_LITERAL = "tests/test_kernels.py::test_branch_summary_backends_agree"
 CRITERION_2 = "tests/test_acceptance.py::test_criterion_2_classical_code_recovers_and_hides"
 
 # name -> (file under src/qnc, snippet, replacement, tests that must fail)
@@ -80,10 +81,29 @@ MUTATIONS = {
     # graph: the adjusted value of edge 7 (a1 + b1), or of edge 8 (a2 + b1)
     # when 7 is tapped, already fixes the key, so no bucket mixes two keys.
     "fidelity-bucket-without-environment": (
-        "security.py",
-        "bucket = b1 * config.attack.d_env + env",
+        "protocol.py",
+        "bucket = b1 * d_env + env",
         "bucket = b1",
-        ("tests/test_security.py::test_attacked_fidelity_matches_branch_average",),
+        (BRANCHES_VS_LITERAL,),
+    ),
+    "overlap-shift-sign": (
+        "protocol.py",
+        "pos = (sup.edges(MEASURED_EDGES) - shift) % p",
+        "pos = (sup.edges(MEASURED_EDGES) + shift) % p",
+        (BRANCHES_VS_LITERAL, "tests/test_security.py::test_attacked_fidelity_known_values"),
+    ),
+    "given-target-unconjugated": (
+        "protocol.py",
+        "(config.psi1[h12] * config.psi2[h13]).conj()",
+        "(config.psi1[h12] * config.psi2[h13])",
+        ("tests/test_kernels.py::test_branch_table_matches_the_literal_path_at_p5[given]",),
+    ),
+    "forced-outcome-sign": (
+        "protocol.py",
+        "(-announced) % p",
+        "announced % p",
+        (BRANCHES_VS_LITERAL,
+         "tests/test_security.py::test_analysis_matches_protocol_spot_records_under_weak_pad_haar"),
     ),
     # At p = 3, 1/2 = -1 = p - 1, so no check at p = 3 can see this slip.
     "half-is-minus-one": (

@@ -182,14 +182,17 @@ def test_attack_large_field_needs_sampling(tmp_path, capsys):
         ["sweep", "--jobs", "0"],
         ["sweep", "--attacks-per-edge", "-1", "--jobs", "1"],
         ["sweep", "--attacks-per-edge", "two"],
+        ["attack", "--edge", "9", "--d-e", "0"],
+        ["sweep", "--d-e-cycle", "3", "0", "--jobs", "1"],
     ],
     ids=["sample-0", "sample-neg", "trials-neg", "trials-0", "jobs-0", "attacks-neg",
-         "attacks-text"],
+         "attacks-text", "d-e-0", "d-e-cycle-0"],
 )
 def test_out_of_range_counts_are_usage_errors(argv, capsys):
     """A count flag outside its range exits 2 with a message naming the flag,
     before any work starts (--attacks-per-edge 0 stays valid: named attacks only)."""
-    flag = next(a for a in argv if a in ("--sample", "--trials", "--jobs", "--attacks-per-edge"))
+    flags = ("--sample", "--trials", "--jobs", "--attacks-per-edge", "--d-e", "--d-e-cycle")
+    flag = next(a for a in argv if a in flags)
     assert run_cli(argv) == 2
     assert f"argument {flag}: must be an integer" in capsys.readouterr().err
 

@@ -92,23 +92,24 @@ def test_branch_table_matches_the_literal_path_at_p5(make):
 @pytest.mark.parametrize("p", [3, 5])
 def test_branch_summary_matches_the_loop_on_nonzero_differences(p):
     """Real supports give one difference vector (delta = 0) per bucket, so a
-    synthetic one exercises the rest: every rest index holds four entries
-    with at least two measured values (two entries share one, so they merge),
-    two rest indices sit outside every group, two groups each collect two
-    rest indices, and the weights and sink corrections are non-trivial."""
+    synthetic one exercises the rest.  Every rest index holds four entries
+    with at least two measured values (two entries share one, so they
+    merge).  The overlap terms fall in three buckets, numbered sparsely as
+    key * d_env + env numbers them; each bucket spans a non-zero difference,
+    and two terms of one bucket share a position, so they merge."""
     rng = np.random.default_rng(60 + p)
     n_rest, n_meas = 6, 3
     rest_index = np.repeat(np.arange(n_rest), 4)
     zmeas = rng.integers(0, p, size=(rest_index.size, n_meas))
     zmeas[0::4, 0], zmeas[1::4, 0] = 0, 1
     zmeas[3::4] = zmeas[2::4]
-    amp = rng.normal(size=rest_index.size) + 1j * rng.normal(size=rest_index.size)
-    amp /= np.linalg.norm(amp)
-    h12, h13 = rng.integers(1, p, size=(2, n_rest))
-    weight = _random_state(rng, n_rest)
-    group = np.array([0, 1, -1, 1, 0, -1])
-    m1, m2 = rng.integers(1, p, size=(2, n_meas))
-    args = (amp, zmeas, rest_index, h12, h13, weight, group, m1, m2, p)
+    amp = _random_state(rng, rest_index.size)
+    bucket = np.array([0, 0, 0, 0, 4, 4, 4, 7, 7, 7])
+    pos = rng.integers(0, p, size=(bucket.size, n_meas))
+    pos[[0, 4, 7], 0], pos[[1, 5, 8], 0] = 0, 1
+    pos[3] = pos[2]
+    coef = 0.8 * _random_state(rng, bucket.size)
+    args = (amp, zmeas, rest_index, coef, bucket, pos, p)
     prob, fid = kernels.branch_summary(*args)
     prob_ref, fid_ref = kernel_ref.branch_summary_loop(*args, phase_table(p))
     np.testing.assert_allclose(prob, prob_ref, atol=1e-14)
@@ -200,13 +201,11 @@ def test_records_in_one_class_share_their_state(p):
 
 def _single_rest_summaries(amp, zmeas):
     """numpy kernel and plain loop on a p = 3 support with one rest index and
-    no matched group, so only the record phase and the norm matter."""
+    no overlap term, so only the record phase and the norm matter."""
     amp = np.asarray(amp, dtype=np.complex128)
     zmeas = np.asarray(zmeas, dtype=np.int64)
-    zero = np.zeros(len(amp), dtype=np.int64)
-    args = (amp, zmeas, zero, zero, zero, np.zeros(len(amp), dtype=np.complex128),
-            np.full(len(amp), -1, dtype=np.int64),
-            np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64), 3)
+    args = (amp, zmeas, np.zeros(len(amp), dtype=np.int64), np.zeros(0, dtype=np.complex128),
+            np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64), 3)
     return {
         "numpy": kernels.branch_summary(*args),
         "loop": kernel_ref.branch_summary_loop(*args, phase_table(3)),

@@ -9,8 +9,8 @@ from qnc.adversary import keep_and_send_phi0, measure_and_resend, random_isometr
 from qnc.classical_code import ATTACKABLE_EDGES, ROW_EDGES, transfer_matrix
 from qnc.protocol import (
     CODED_EDGES,
-    DEFAULT_ENUMERATION_CAP,
     ENTANGLED,
+    ENUMERATION_CAP,
     GIVEN,
     MEASURED_EDGES,
     PADDED_EDGES,
@@ -190,11 +190,10 @@ def test_step3_measures_exactly_the_nine_upstream_wires():
 
 def test_step3_forced_outcomes_are_respected():
     cfg = ProtocolConfig(p=3)
-    st = step2_transmit(step1_initialize(cfg), cfg)
     forced = dict(zip(MEASURED_EDGES, (2, 1, 0, 2, 1, 0, 2, 1, 0)))
-    _, transcript, prob = step3_measure(st, cfg, forced=forced)
-    assert transcript.outcomes == forced
-    assert prob == pytest.approx(3.0**-9)
+    (leaf,) = enumerate_branches(cfg, forced=forced)
+    assert leaf.transcript.outcomes == forced
+    assert leaf.branch_probability == pytest.approx(3.0**-9)
 
 
 def test_transcript_pad_and_eve_view():
@@ -222,13 +221,14 @@ def test_recovery_exponents_contract_the_message_columns():
 
 
 def test_zero_record_needs_no_correction():
+    """The all-zero record's leaf is already corrected: applying its Step 4
+    again leaves the state as it is."""
     cfg = ProtocolConfig(p=3)
-    st = step2_transmit(step1_initialize(cfg), cfg)
-    forced = {e: 0 for e in MEASURED_EDGES}
-    measured, transcript, _ = step3_measure(st, cfg, forced=forced)
-    assert recovery_exponents(transcript) == (0, 0)
-    recovered = step4_recover(measured, transcript)
-    assert recovered.inner(measured) == pytest.approx(measured.norm_squared())
+    (leaf,) = enumerate_branches(cfg, forced={e: 0 for e in MEASURED_EDGES})
+    assert recovery_exponents(leaf.transcript) == (0, 0)
+    final = leaf.final_state
+    assert step4_recover(final, leaf.transcript).inner(final) == pytest.approx(final.norm_squared())
+    assert leaf.fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 # -- full runs ---------------------------------------------------------
@@ -353,20 +353,31 @@ def test_ideal_output_state_shapes():
 # -- branch enumeration ------------------------------------------------
 
 
+def forced_except(free, record=(2, 0, 1, 1, 0, 2, 0, 1, 2)):
+    """Announced outcomes pinned on every measured edge outside ``free``."""
+    return {e: c for e, c in zip(MEASURED_EDGES, record) if e not in free}
+
+
 def test_enumeration_over_a_subset_is_exhaustive_and_normalized():
+    """Six edges forced, three enumerated: 27 leaves whose weights add up to
+    the forced outcomes' probability, 3^-6, as every record is equally likely."""
     cfg = ProtocolConfig(p=3, seed=0)
-    results = list(enumerate_branches(cfg, registers=(5, 6, 7)))
+    results = list(enumerate_branches(cfg, forced=forced_except((5, 6, 7))))
     assert len(results) == 27
-    assert sum(r.branch_probability for r in results) == pytest.approx(1.0)
+    assert len({tuple(r.transcript.outcomes.values()) for r in results}) == 27
+    assert sum(r.branch_probability for r in results) == pytest.approx(3.0**-6)
     assert all(r.fidelity == pytest.approx(1.0, abs=1e-12) for r in results)
 
 
 def test_enumeration_given_mode_probabilities_sum_to_one():
+    """Given inputs: the 27 leaves over edges 1, 2 and 5 carry 3^-6, so the
+    3^6 choices of the forced outcomes sum to one."""
     psi1 = np.array([1, -1, 1]) / np.sqrt(3)
     psi2 = np.array([1, 1j, 0]) / np.sqrt(2)
     cfg = ProtocolConfig(p=3, input_mode=GIVEN, psi1=psi1, psi2=psi2, b1=2, seed=1)
-    results = list(enumerate_branches(cfg, registers=(1, 2, 5)))
-    assert sum(r.branch_probability for r in results) == pytest.approx(1.0)
+    results = list(enumerate_branches(cfg, forced=forced_except((1, 2, 5))))
+    assert len(results) == 27
+    assert sum(r.branch_probability for r in results) == pytest.approx(3.0**-6)
     assert all(r.fidelity == pytest.approx(1.0, abs=1e-12) for r in results)
 
 
@@ -395,9 +406,7 @@ def test_every_record_stays_possible():
 def test_enumeration_cap_and_edge_validation():
     with pytest.raises(EnumerationCapExceeded):
         next(enumerate_branches(ProtocolConfig(p=5)))
-    assert 5**9 > DEFAULT_ENUMERATION_CAP
-    with pytest.raises(ValueError):
-        next(enumerate_branches(ProtocolConfig(p=3), registers=(3,)))
+    assert 5**9 > ENUMERATION_CAP
     with pytest.raises(ValueError):
         next(enumerate_branches(ProtocolConfig(p=3), forced={12: 0}))
 

@@ -60,8 +60,6 @@ def test_analyze_requires_attack_and_entangled_inputs():
     for keys in ((), (0, 3), (1, 1)):
         with pytest.raises(ValueError, match="distinct keys"):
             analyze(cfg, b1_values=keys)
-        with pytest.raises(ValueError, match="distinct keys"):
-            attacked_fidelity(cfg, b1_values=keys)
     with pytest.raises(ValueError):
         analyze(
             ProtocolConfig(
@@ -316,6 +314,22 @@ def test_conditional_rejects_malformed_records():
         report.conditional((0, 0))
 
 
+@pytest.mark.parametrize(
+    "record",
+    [(0,), (0,) * 12, (0, 0, 0, 0, 0, 0, 7), (0, 0, 0, 0, 0, 0, -1)],
+    ids=["short", "long", "digit-above-p", "negative-digit"],
+)
+def test_record_probability_and_conditional_check_the_record(record):
+    """A record needs one digit in [0, p) per visible edge: a short or long
+    one, or a digit outside the field, is refused rather than reduced mod p
+    or broadcast into some other record's probability."""
+    report = analyze(ProtocolConfig(p=3, attack=identity_forward(5, 3)), with_fidelity=False)
+    assert report.record_probability((0,) * 7) == pytest.approx(3.0**-7)
+    for method in (report.record_probability, report.conditional):
+        with pytest.raises(ValueError, match=r"7 digits in \[0, 3\)"):
+            method(record)
+
+
 def test_verify_with_huge_tolerance_is_vacuous():
     report = analyze(keep11_weak(), with_fidelity=False)
     ok, _ = verify_independence(report, tol=2.0)
@@ -339,8 +353,10 @@ def test_attacked_fidelity_known_values():
 
 
 def test_attacked_fidelity_matches_branch_average():
-    """Closed form vs the full per-branch table, averaged over the key.  A
-    fidelity that sums amplitudes across environment values fails here."""
+    """Closed form vs the full per-branch table, averaged over the key.  Both
+    sides read ``protocol.overlap_terms``, so this checks the key average and
+    the W_0 reduction; the terms themselves are checked against the literal
+    enumeration in ``test_kernels.py``."""
     cases = (
         (3, keep_and_send_phi0(11, 3), VARIANT_FULL, 1e-10),
         (3, random_isometry(7, 3, 3, seed=5), VARIANT_FULL, 1e-10),
