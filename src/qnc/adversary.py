@@ -76,14 +76,6 @@ class AttackSpec:
             out["isometry"] = [[z.real, z.imag] for z in self.isometry.ravel()]
         return out
 
-    @staticmethod
-    def from_json(data: dict) -> "AttackSpec":
-        if "seed" in data and data.get("label", "").startswith("haar"):
-            return random_isometry(data["edge"], data["p"], data["d_env"], data["seed"])
-        flat = np.array([complex(re, im) for re, im in data["isometry"]])
-        v = flat.reshape(data["d_env"] * data["p"], data["p"])
-        return AttackSpec(edge=data["edge"], isometry=v, label=data.get("label", "attack"))
-
 
 def identity_forward(edge: int, p: int) -> AttackSpec:
     """Trivial tap: one-dimensional environment, wire passed through intact."""

@@ -40,7 +40,13 @@ from .classical_code import (
 )
 from .ffield import is_odd_prime
 from .protocol import VARIANT_FULL, VARIANT_WEAK, ProtocolConfig, run
-from .security import DEFAULT_RECORD_CAP, analyze, verify_independence, visible_edges
+from .security import (
+    DEFAULT_RECORD_CAP,
+    SecurityReport,
+    analyze,
+    verify_independence,
+    visible_edges,
+)
 
 VARIANT_FLAGS = {"full-pad": VARIANT_FULL, "weak-pad": VARIANT_WEAK}
 ATTACK_KINDS = ("random", "keep-phi0", "measure-z", "measure-x", "identity")
@@ -103,13 +109,14 @@ def _count(low: int):
     return parse
 
 
-def _check_prime(parser: argparse.ArgumentParser, p: int) -> None:
-    if not is_odd_prime(p):
-        parser.error(f"--p must be an odd prime >= 3, got {p}")
+def _odd_prime(text: str) -> int:
+    """An argparse type for the field size: an odd prime."""
+    if text.removeprefix("-").isdecimal() and is_odd_prime(int(text)):
+        return int(text)
+    raise argparse.ArgumentTypeError(f"must be an odd prime >= 3, got {text!r}")
 
 
 def cmd_honest(args, parser) -> int:
-    _check_prime(parser, args.p)
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     trials = []
@@ -173,7 +180,6 @@ def _analyze_args(args, parser, attack: AttackSpec, variant: str):
 
 
 def cmd_attack(args, parser) -> int:
-    _check_prime(parser, args.p)
     variant = VARIANT_FLAGS[args.variant]
     seed = _resolve_seed(args.seed)
     if args.d_e is not None and args.attack != "random":
@@ -203,15 +209,26 @@ def _sweep_task(task) -> dict:
     p, edge, kind, d_env, seed, variant, tol = task
     attack = make_attack(kind, edge, p, d_env, seed)
     config = ProtocolConfig(p=p, attack=attack, variant=variant)
-    report = analyze(config, with_fidelity=False)
-    return report.to_csv_row(tol)
+    return csv_row(analyze(config, with_fidelity=False), tol)
 
 
 CSV_FIELDS = ("edge", "attack", "variant", "product_deviation", "verdict", "worst_record")
 
 
+def csv_row(report: SecurityReport, tol: float) -> dict:
+    """One sweep row of ``CSV_FIELDS``; the deviation stays a float until written."""
+    verdict, _ = verify_independence(report, tol)
+    return {
+        "edge": report.attack.edge,
+        "attack": report.attack.label,
+        "variant": report.variant,
+        "product_deviation": report.product_deviation,
+        "verdict": "secure" if verdict else "insecure",
+        "worst_record": "".join(str(d) for d in report.worst_record),
+    }
+
+
 def cmd_sweep(args, parser) -> int:
-    _check_prime(parser, args.p)
     variant = VARIANT_FLAGS[args.variant]
     base = _resolve_seed(args.seed)
     d_cycle = args.d_e_cycle
@@ -269,7 +286,6 @@ def _matrix_json(p: int, attacked_edge: int | None = None) -> dict:
 
 
 def cmd_classical(args, parser) -> int:
-    _check_prime(parser, args.p)
     recovered = recovery_check(args.p)
     secrecy = {str(e): classical_secrecy_check(args.p, e) for e in ATTACKABLE_EDGES}
     key_coeffs = {str(e): key_coefficient(args.p, e) for e in ATTACKABLE_EDGES}
@@ -298,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--p", type=int, default=3, help="odd prime field size")
+        sp.add_argument("--p", type=_odd_prime, default=3, help="odd prime field size")
         sp.add_argument("--seed", type=int, default=None,
                         help="RNG seed (falls back to QNC_SEED, then 0)")
         sp.add_argument("--no-timestamp", action="store_true",

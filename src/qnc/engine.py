@@ -36,7 +36,7 @@ class LayoutError(ValueError):
 
 
 class ZeroProbabilityBranch(RuntimeError):
-    """Raised when a forced measurement outcome has (numerically) zero weight."""
+    """Raised when a sampled measurement outcome has (numerically) zero weight."""
 
 
 @lru_cache(maxsize=None)
@@ -189,12 +189,6 @@ class SparseState:
     def norm_squared(self) -> float:
         return float(sum((a * a.conjugate()).real for a in self.amps.values()))
 
-    def renormalized(self) -> "SparseState":
-        n = math.sqrt(self.norm_squared())
-        if n == 0.0:
-            raise ZeroProbabilityBranch("cannot normalize a zero state")
-        return SparseState._raw(self.layout, {k: a / n for k, a in self.amps.items()})
-
     def inner(self, other: "SparseState") -> complex:
         """<self|other> over the shared layout."""
         if other.layout != self.layout:
@@ -301,29 +295,25 @@ class SparseState:
         grid[row_of, [key[i] for key in self.amps]] = list(self.amps.values())
         return list(rows), grid @ fourier_matrix(self.layout.dim(name))
 
-    def x_outcome_probabilities(self, name: str) -> np.ndarray:
-        """All d outcome probabilities: the squared column norms of the projections."""
-        _, proj = self._fourier_projections(name)
-        return _column_norms_squared(proj)
-
     def measure_x_basis(
         self,
         name: str,
         outcome: int | None = None,
         rng: np.random.Generator | None = None,
-        allow_zero: bool = False,
     ) -> "MeasurementResult":
         """Destructively measure one register in the Fourier basis.
 
-        With ``outcome`` given the branch is forced; otherwise it is sampled
-        from ``rng``.  The returned state is renormalized and no longer
-        contains the register.
+        With ``outcome`` given the branch is forced, and an outcome of
+        (numerically) zero weight has probability 0.0; otherwise it is sampled
+        from ``rng``, and a sample of zero weight raises.  The returned state
+        is renormalized and no longer contains the register.
         """
         d = self.layout.dim(name)
-        if outcome is None and rng is None:
+        sampled = outcome is None
+        if sampled and rng is None:
             raise ValueError("measure_x_basis needs either an outcome or an rng")
         rest, proj = self._fourier_projections(name)
-        if outcome is None:
+        if sampled:
             probs = _column_norms_squared(proj)
             total = probs.sum()
             if total <= 0.0:
@@ -331,7 +321,7 @@ class SparseState:
             outcome = int(rng.choice(d, p=probs / total))
         outcome = int(outcome) % d
         result = _collapse(self.layout.without(name), outcome, rest, proj[:, outcome])
-        if result.probability == 0.0 and not allow_zero:
+        if sampled and result.probability == 0.0:
             raise ZeroProbabilityBranch(
                 f"outcome {outcome} on {name!r} has probability below {PRUNE_TOL**2:.0e}"
             )
@@ -340,8 +330,7 @@ class SparseState:
     def measure_x_basis_all(self, name: str) -> list["MeasurementResult"]:
         """Every Fourier outcome of one register, in order, from one pass.
 
-        Each result is what ``measure_x_basis(name, outcome=k, allow_zero=True)``
-        returns: an outcome of (numerically) zero weight has probability 0.0.
+        Each result is what ``measure_x_basis(name, outcome=k)`` returns.
         """
         rest, proj = self._fourier_projections(name)
         layout = self.layout.without(name)

@@ -5,9 +5,9 @@ maximally entangled pair (its other half kept as a reference), interior
 wires start at |0>.  Step 2 runs the classical code coherently, one affine
 adder per computed edge, mixing in the scrambling key b1; a wiretap
 isometry, when present, is spliced onto its edge right after that edge is
-written and before anything downstream reads it.  Step 3 measures the ten
-upstream wires in the Fourier basis and broadcasts the outcomes, with the
-two outcomes closest to the sinks one-time-padded by the pair key b2.
+written and before anything downstream reads it.  Step 3 measures the nine
+upstream wires in the Fourier basis and broadcasts the outcomes, those that
+``visible_edges`` leaves out one-time-padded by the pair key b2.
 Step 4 applies outcome-dependent phase corrections at the sinks, after
 which each sink wire holds the teleported message wire exactly.
 
@@ -73,7 +73,7 @@ class ProtocolConfig:
 
     p: int
     b1: int = 0
-    b2: tuple[int, int] = (0, 0)
+    b2: tuple[int, int] = (0, 0)  # the pad key: it changes what is broadcast, not the state
     attack: AttackSpec | None = None
     variant: str = VARIANT_FULL
     input_mode: str = ENTANGLED
@@ -117,15 +117,6 @@ class Transcript:
     p: int
     variant: str
     outcomes: dict[int, int]
-    b2: tuple[int, int]
-
-    @property
-    def padded_broadcast(self) -> tuple[int, int]:
-        """The two pad-protected outcomes as actually transmitted."""
-        return (
-            (self.outcomes[10] + self.b2[0]) % self.p,
-            (self.outcomes[11] + self.b2[1]) % self.p,
-        )
 
     @property
     def eve_record(self) -> tuple[int, ...]:
@@ -227,18 +218,17 @@ def support(config: ProtocolConfig, b1_values: Sequence[int] | None = None) -> S
 
 
 def step3_measure(
-    state: SparseState, config: ProtocolConfig, rng: np.random.Generator | None = None
+    state: SparseState, config: ProtocolConfig
 ) -> tuple[SparseState, Transcript, float]:
     """Measure the nine upstream wires in the Fourier basis, sampling each
-    outcome from ``rng`` (by default seeded with ``config.seed``).
+    outcome from one generator seeded with ``config.seed``.
 
     Outcomes are announced in the negated labeling, chosen so that the
     Step 4 exponents cancel the measurement phases without an extra sign
     flip.  Returns the post-measurement state, the transcript, and the
     branch probability.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     outcomes: dict[int, int] = {}
     probability = 1.0
     for edge in MEASURED_EDGES:
@@ -246,7 +236,7 @@ def step3_measure(
         outcomes[edge] = (-result.outcome) % config.p
         probability *= result.probability
         state = result.state
-    transcript = Transcript(p=config.p, variant=config.variant, outcomes=outcomes, b2=config.b2)
+    transcript = Transcript(p=config.p, variant=config.variant, outcomes=outcomes)
     return state, transcript, probability
 
 
@@ -318,10 +308,11 @@ def _finish(state: SparseState, config: ProtocolConfig, transcript: Transcript,
     return RunResult(final, transcript, probability, output_fidelity(final, config, target))
 
 
-def run(config: ProtocolConfig, rng: np.random.Generator | None = None) -> RunResult:
-    """Execute one full protocol run, sampling the measurement branch."""
+def run(config: ProtocolConfig) -> RunResult:
+    """Execute one full protocol run, sampling the measurement branch from
+    ``config.seed``."""
     state = step2_transmit(step1_initialize(config), config)
-    state, transcript, probability = step3_measure(state, config, rng)
+    state, transcript, probability = step3_measure(state, config)
     return _finish(state, config, transcript, probability, ideal_output_state(config))
 
 
@@ -350,15 +341,13 @@ def enumerate_branches(
     def descend(state: SparseState, outcomes: tuple[int, ...], prob: float) -> Iterator[RunResult]:
         if len(outcomes) == len(MEASURED_EDGES):
             transcript = Transcript(p=p, variant=config.variant,
-                                    outcomes=dict(zip(MEASURED_EDGES, outcomes)), b2=config.b2)
+                                    outcomes=dict(zip(MEASURED_EDGES, outcomes)))
             yield _finish(state, config, transcript, prob, target)
             return
         edge = MEASURED_EDGES[len(outcomes)]
         if edge in forced:
             announced = forced[edge]
-            branches = [(announced, state.measure_x_basis(
-                wire(edge), outcome=(-announced) % p, allow_zero=True
-            ))]
+            branches = [(announced, state.measure_x_basis(wire(edge), outcome=(-announced) % p))]
         else:
             # all p branches of the edge from one pass over the state
             results = state.measure_x_basis_all(wire(edge))

@@ -110,7 +110,9 @@ _JSON_SCALARS = (
 
 @dataclass
 class SecurityReport:
-    """Everything ``analyze`` learned about one attacked configuration."""
+    """Everything ``analyze`` learned about one attacked configuration, built
+    once at its end.  Conditional states, the anchor's included, are
+    computed on request from the wiretap spectrum it keeps."""
 
     p: int
     variant: str
@@ -118,21 +120,17 @@ class SecurityReport:
     record_edges: tuple[int, ...]
     exhaustive: bool
     n_records: int
-    record_classes: int = 0
-    probability_total: float = 0.0
-    record_uniformity: float = 0.0
-    product_deviation: float = 0.0
-    reference_deviation_from_maximally_mixed: float = 0.0
-    sigma_sum_match: float = 0.0
-    hermiticity_error: float = 0.0
-    output_fidelity_under_attack: float | None = None
-    eve_reference_state: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    anchor_record: tuple[int, ...] = ()
-    anchor_conditional: DensityMatrix = field(default=None, repr=False)  # type: ignore[assignment]
-    worst_record: tuple[int, ...] = ()
-    worst_conditional: DensityMatrix = field(default=None, repr=False)  # type: ignore[assignment]
-    elapsed_seconds: float = 0.0
-    _spectrum: _WiretapSpectrum = field(default=None, repr=False)  # type: ignore[assignment]
+    record_classes: int
+    probability_total: float
+    record_uniformity: float
+    product_deviation: float
+    reference_deviation_from_maximally_mixed: float
+    sigma_sum_match: float
+    hermiticity_error: float
+    output_fidelity_under_attack: float | None
+    worst_record: tuple[int, ...]
+    elapsed_seconds: float
+    _spectrum: _WiretapSpectrum = field(repr=False)
 
     def _state(self, record: Sequence[int]) -> np.ndarray:
         """Unnormalized state of one record: a digit in [0, p) per record edge."""
@@ -149,6 +147,11 @@ class SecurityReport:
             raise ValueError(f"record {tuple(record)} has zero probability")
         return DensityMatrix(self._spectrum.kept_layout, rho / tr)
 
+    @property
+    def anchor_conditional(self) -> DensityMatrix:
+        """The conditional state of the all-zero record."""
+        return self.conditional((0,) * len(self.record_edges))
+
     def record_probability(self, record: Sequence[int]) -> float:
         tr = float(np.trace(self._state(record)).real)
         return tr * float(self.p) ** (-len(self.record_edges))
@@ -161,17 +164,6 @@ class SecurityReport:
             worst_record=list(self.worst_record),
         )
         return out
-
-    def to_csv_row(self, tol: float) -> dict:
-        verdict, _ = verify_independence(self, tol)
-        return {
-            "edge": self.attack.edge,
-            "attack": self.attack.label,
-            "variant": self.variant,
-            "product_deviation": self.product_deviation,
-            "verdict": "secure" if verdict else "insecure",
-            "worst_record": "".join(str(d) for d in self.worst_record),
-        }
 
 
 def _marginals(rho: np.ndarray, p: int, d_env: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +247,8 @@ def analyze(
     worst = int(np.argmax(product_devs))
 
     eve_mean = _marginals(rho_sum, p, d_env)[1] * float(p) ** (-n_vis) / total
-    report = SecurityReport(
+    fidelity = scalar_w0(*overlap_terms(config, sup), p) if with_fidelity else None
+    return SecurityReport(
         p=p,
         variant=config.variant,
         attack=config.attack,
@@ -269,17 +262,11 @@ def analyze(
         reference_deviation_from_maximally_mixed=max(ref_devs),
         sigma_sum_match=trace_distance(eve_mean, eve_ref),
         hermiticity_error=herm_err,
-        eve_reference_state=eve_ref,
+        output_fidelity_under_attack=fidelity,
         worst_record=tuple(int(d) for d in records[first[worst]]),
+        elapsed_seconds=time.perf_counter() - t0,
         _spectrum=spec,
     )
-    report.worst_conditional = report.conditional(report.worst_record)
-    report.anchor_record = (0,) * n_vis
-    report.anchor_conditional = report.conditional(report.anchor_record)
-    if with_fidelity:
-        report.output_fidelity_under_attack = scalar_w0(*overlap_terms(config, sup), p)
-    report.elapsed_seconds = time.perf_counter() - t0
-    return report
 
 
 def verify_independence(report: SecurityReport, tol: float = 1e-9) -> tuple[bool, dict]:

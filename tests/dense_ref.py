@@ -218,7 +218,7 @@ def random_circuit_comparison(seed: int, p: int = 3, n_ops: int = 12) -> float:
             target = str(rng.choice(live))
             d = dense.dims[dense.axis(target)]
             dense_probs = dense.x_probabilities(target)
-            sparse_probs = sparse.x_outcome_probabilities(target)
+            sparse_probs = np.array([r.probability for r in sparse.measure_x_basis_all(target)])
             worst = max(worst, float(np.max(np.abs(sparse_probs - dense_probs))))
             outcome = int(np.argmax(dense_probs)) % d
             result = sparse.measure_x_basis(target, outcome=outcome)

@@ -105,6 +105,21 @@ MUTATIONS = {
         (BRANCHES_VS_LITERAL,
          "tests/test_security.py::test_analysis_matches_protocol_spot_records_under_weak_pad_haar"),
     ),
+    # The weak pad then hides what the full pad hides, and its leak vanishes.
+    "weak-pad-hides-edge-10": (
+        "protocol.py",
+        "hidden = PADDED_EDGES if variant == VARIANT_FULL else (11,)",
+        "hidden = PADDED_EDGES if variant == VARIANT_FULL else (10, 11)",
+        ("tests/test_security.py::test_weak_pad_keep_attack_is_flagged",
+         "tests/test_protocol.py::test_transcript_pad_and_eve_view"),
+    ),
+    "anchor-record-not-zero": (
+        "security.py",
+        "return self.conditional((0,) * len(self.record_edges))",
+        "return self.conditional((1,) * len(self.record_edges))",
+        ("tests/test_security.py::test_anchor_conditional_is_the_all_zero_record_on_access",
+         "tests/test_acceptance.py::test_criterion_6_weak_pad_keep_attack_breaks_independence"),
+    ),
     # At p = 3, 1/2 = -1 = p - 1, so no check at p = 3 can see this slip.
     "half-is-minus-one": (
         "classical_code.py",

@@ -79,7 +79,7 @@ def test_criterion_1_honest_runs_reach_perfect_fidelity(announce):
         for b1 in range(p):
             for b2 in itertools.product(range(p), repeat=2):
                 for _ in range(reps):
-                    res = run(ProtocolConfig(p=p, b1=b1, b2=b2), rng=rng)
+                    res = run(ProtocolConfig(p=p, b1=b1, b2=b2, seed=int(rng.integers(2**63 - 1))))
                     worst = max(worst, abs(res.fidelity - 1.0))
                     samples += 1
     elapsed = time.perf_counter() - t0

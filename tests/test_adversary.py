@@ -151,19 +151,3 @@ def test_channel_block_consistency_with_leak():
     for b in range(3):
         acc = sum(channel_block(spec, a, a, b, b) for a in range(3))
         np.testing.assert_allclose(acc, spec.leak_operator(b), atol=1e-13)
-
-
-def test_json_roundtrip_haar():
-    spec = random_isometry(7, 3, 9, seed=55)
-    again = AttackSpec.from_json(spec.to_json())
-    assert again.label == spec.label and again.edge == spec.edge
-    np.testing.assert_array_equal(again.isometry, spec.isometry)
-
-
-def test_json_roundtrip_explicit_matrix():
-    spec = measure_and_resend(11, 3, "X")
-    blob = spec.to_json()
-    assert "isometry" in blob and "seed" not in blob
-    again = AttackSpec.from_json(blob)
-    np.testing.assert_allclose(again.isometry, spec.isometry, atol=1e-15)
-    assert again.label == "measure-x"

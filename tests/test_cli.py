@@ -32,7 +32,7 @@ def test_honest_prints_per_trial_lines(capsys):
 
 def test_honest_rejects_composite_modulus(capsys):
     assert run_cli(["honest", "--p", "4"]) == 2
-    assert "odd prime" in capsys.readouterr().err
+    assert "argument --p: must be an odd prime >= 3, got '4'" in capsys.readouterr().err
 
 
 def test_honest_json_report(tmp_path, capsys):
@@ -197,6 +197,18 @@ def test_out_of_range_counts_are_usage_errors(argv, capsys):
     assert f"argument {flag}: must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["attack", "--p", "9", "--edge", "9"], ["sweep", "--p", "x", "--jobs", "1"]],
+    ids=["attack-9", "sweep-text"],
+)
+def test_modulus_that_is_not_an_odd_prime_is_a_usage_error(argv, capsys, monkeypatch):
+    """--p is parsed like the count flags: exit 2 naming the flag, before any work."""
+    monkeypatch.setattr("qnc.cli.analyze", None)  # any analysis would fail with exit 4
+    assert run_cli(argv) == 2
+    assert f"argument --p: must be an odd prime >= 3, got {argv[2]!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["keep-phi0", "identity"])
 def test_d_e_with_a_non_random_attack_is_a_usage_error(kind, capsys):
     """--d-e sizes a random attack's environment; a named attack fixes its
@@ -297,7 +309,7 @@ def test_classical_report(tmp_path, capsys):
 
 def test_classical_rejects_p2(capsys):
     assert run_cli(["classical", "--p", "2"]) == 2
-    capsys.readouterr()
+    assert "argument --p: must be an odd prime >= 3, got '2'" in capsys.readouterr().err
 
 
 # -- entry point -------------------------------------------------------

@@ -77,7 +77,7 @@ def test_engines_agree_on_a_handpicked_sequence():
         sparse.to_vector(["r0", "r1", "r2", "E"]), dense.vector, atol=1e-13
     )
 
-    probs_s = sparse.x_outcome_probabilities("r1")
+    probs_s = [r.probability for r in sparse.measure_x_basis_all("r1")]
     probs_d = dense.x_probabilities("r1")
     np.testing.assert_allclose(probs_s, probs_d, atol=1e-13)
     k = int(np.argmax(probs_d))

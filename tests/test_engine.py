@@ -109,9 +109,10 @@ def test_inner_product():
 
 
 def test_renormalize_zero_state_fails():
+    """A sampled measurement cannot renormalize a state of zero weight."""
     st = SparseState(layout3("a"), {})
     with pytest.raises(ZeroProbabilityBranch):
-        st.renormalized()
+        st.measure_x_basis("a", rng=np.random.default_rng(0))
 
 
 def test_adder_worked_example():
@@ -210,7 +211,7 @@ def test_fourier_state_measures_to_its_label():
         st = SparseState.from_site_vectors(
             layout3("a", "b"), [fourier_basis_state(3, k), np.array([1, 0, 0.0])]
         )
-        probs = st.x_outcome_probabilities("a")
+        probs = [r.probability for r in st.measure_x_basis_all("a")]
         assert probs[k] == pytest.approx(1.0)
         res = st.measure_x_basis("a", outcome=k)
         assert res.probability == pytest.approx(1.0)
@@ -233,8 +234,10 @@ def test_outcome_probabilities_sum_to_one():
     amps = {
         (i, j): complex(*rng.normal(size=2)) for i in range(3) for j in range(3)
     }
-    st = SparseState(layout3("u", "v"), amps).renormalized()
-    np.testing.assert_allclose(st.x_outcome_probabilities("u").sum(), 1.0, atol=1e-12)
+    norm = np.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    st = SparseState(layout3("u", "v"), {k: a / norm for k, a in amps.items()})
+    total = sum(r.probability for r in st.measure_x_basis_all("u"))
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sampled_measurement_is_seed_deterministic():
@@ -247,13 +250,17 @@ def test_sampled_measurement_is_seed_deterministic():
 
 
 def test_impossible_outcome_raises_unless_allowed():
+    """Forcing an impossible outcome reports probability 0.0, as the
+    all-outcome pass does; only a sampled measurement of a state with no
+    weight raises."""
     st = SparseState.from_site_vectors(
         layout3("a", "b"), [fourier_basis_state(3, 0), np.array([1, 0, 0.0])]
     )
+    res = st.measure_x_basis("a", outcome=2)
+    assert res.probability == 0.0 and res.state.amps == {}
+    assert st.measure_x_basis_all("a")[2].probability == 0.0
     with pytest.raises(ZeroProbabilityBranch):
-        st.measure_x_basis("a", outcome=2)
-    res = st.measure_x_basis("a", outcome=2, allow_zero=True)
-    assert res.probability == 0.0
+        res.state.measure_x_basis("b", rng=np.random.default_rng(0))
 
 
 # -- reductions --------------------------------------------------------

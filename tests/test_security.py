@@ -13,6 +13,7 @@ from qnc.adversary import (
     random_isometry,
 )
 from qnc.classical_code import ATTACKABLE_EDGES, ROW_EDGES, transfer_matrix
+from qnc.cli import csv_row
 from qnc.engine import trace_distance
 from qnc.kernels import record_digits
 from qnc.protocol import (
@@ -105,13 +106,13 @@ def test_full_pad_is_secure_for_every_attack_style(attack):
     assert report.record_uniformity <= 1e-9
     assert report.sigma_sum_match <= 1e-9
     validate_density(report.anchor_conditional)
-    validate_density(report.worst_conditional)
+    validate_density(report.conditional(report.worst_record))
 
 
 def test_secure_conditionals_equal_the_product_form_exactly():
     attack = random_isometry(7, 3, 3, seed=8)
     report = analyze(ProtocolConfig(p=3, attack=attack), with_fidelity=False)
-    expected = np.kron(np.eye(9) / 9, report.eve_reference_state)
+    expected = np.kron(np.eye(9) / 9, expected_environment_state(report.attack))
     for record in [(0,) * 7, (1, 2, 0, 1, 2, 0, 1), (2, 2, 2, 2, 2, 2, 2)]:
         rho = report.conditional(record)
         assert trace_distance(rho.matrix, expected) <= 1e-10
@@ -140,7 +141,7 @@ def test_weak_pad_keep_attack_is_flagged():
 def test_weak_pad_deviation_is_record_independent():
     """Announcements only twist phases Eve can undo locally."""
     report = analyze(keep11_weak(), with_fidelity=False)
-    expected = np.kron(np.eye(9) / 9, report.eve_reference_state)
+    expected = np.kron(np.eye(9) / 9, expected_environment_state(report.attack))
     rng = np.random.default_rng(3)
     for _ in range(4):
         record = tuple(int(v) for v in rng.integers(0, 3, size=8))
@@ -225,8 +226,8 @@ def test_weak_pad_deviation_is_the_maximum_over_every_record(attack):
 
 
 def test_each_record_is_evaluated_once(monkeypatch):
-    """One state per announced record, one per class, and the worst and
-    anchor conditionals: no record is rebuilt on its own."""
+    """One state per announced record and one per class: no record is
+    rebuilt on its own, and no conditional is built before it is asked for."""
     evaluated = []
     kernel = security.conditional_states
 
@@ -237,7 +238,7 @@ def test_each_record_is_evaluated_once(monkeypatch):
     monkeypatch.setattr(security, "conditional_states", counting)
     cfg = ProtocolConfig(p=3, attack=random_isometry(11, 3, 3, seed=5), variant=VARIANT_WEAK)
     report = analyze(cfg, with_fidelity=False)
-    assert sum(evaluated) <= 3**8 + report.record_classes + 2
+    assert sum(evaluated) <= 3**8 + report.record_classes
 
 
 def test_record_classes_are_reported():
@@ -302,10 +303,23 @@ def test_report_serialization():
     ):
         assert key in blob
     assert blob["output_fidelity_under_attack"] == pytest.approx(1.0)
-    row = report.to_csv_row(tol=1e-9)
+    # a named attack is written as its matrix, a Haar one as its seed
+    assert "isometry" in blob["attack"] and "seed" not in blob["attack"]
+    haar = random_isometry(7, 3, 9, seed=55).to_json()
+    assert haar["seed"] == 55 and "isometry" not in haar
+    row = csv_row(report, tol=1e-9)
     assert row["verdict"] == "secure"
     assert row["edge"] == 5 and row["attack"] == "identity"
     assert len(row["worst_record"]) == 7
+
+
+def test_anchor_conditional_is_the_all_zero_record_on_access():
+    """The anchor is the all-zero record's conditional, computed when read;
+    on the weak-pad keep tap the all-one record lies in another class."""
+    report = analyze(keep11_weak(), with_fidelity=False)
+    zero = report.conditional((0,) * len(report.record_edges))
+    np.testing.assert_array_equal(report.anchor_conditional.matrix, zero.matrix)
+    assert report.anchor_conditional.layout == zero.layout
 
 
 def test_conditional_rejects_malformed_records():
