@@ -27,7 +27,6 @@ from .engine import (
     RegisterLayout,
     SparseState,
     fourier_basis_state,
-    pure_overlap_fidelity,
     trace_distance,
 )
 from .ffield import inverse_of_two, is_odd_prime
@@ -37,7 +36,6 @@ from .protocol import (
     VARIANT_WEAK,
     ProtocolConfig,
     RunResult,
-    Transcript,
     branch_table,
     enumerate_branches,
     run,
@@ -64,7 +62,6 @@ __all__ = [
     "RunResult",
     "SecurityReport",
     "SparseState",
-    "Transcript",
     "VARIANT_FULL",
     "VARIANT_WEAK",
     "analyze",
@@ -80,7 +77,6 @@ __all__ = [
     "keep_and_send_phi0",
     "key_coefficient",
     "measure_and_resend",
-    "pure_overlap_fidelity",
     "random_isometry",
     "recovery_check",
     "run",

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import traceback
@@ -40,13 +41,7 @@ from .classical_code import (
 )
 from .ffield import is_odd_prime
 from .protocol import VARIANT_FULL, VARIANT_WEAK, ProtocolConfig, run
-from .security import (
-    DEFAULT_RECORD_CAP,
-    SecurityReport,
-    analyze,
-    verify_independence,
-    visible_edges,
-)
+from .security import SecurityReport, analyze, verify_independence
 
 VARIANT_FLAGS = {"full-pad": VARIANT_FULL, "weak-pad": VARIANT_WEAK}
 ATTACK_KINDS = ("random", "keep-phi0", "measure-z", "measure-x", "identity")
@@ -109,6 +104,17 @@ def _count(low: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type for a tolerance: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value) and value >= 0.0:
+        return value
+    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+
+
 def _odd_prime(text: str) -> int:
     """An argparse type for the field size: an odd prime."""
     if text.removeprefix("-").isdecimal() and is_odd_prime(int(text)):
@@ -123,33 +129,17 @@ def cmd_honest(args, parser) -> int:
     all_ok = True
     for t in range(args.trials):
         b1 = args.b1 % args.p if args.b1 is not None else t % args.p
-        b2 = (int(rng.integers(args.p)), int(rng.integers(args.p)))
-        child = int(rng.integers(2**63 - 1))
-        result = run(ProtocolConfig(p=args.p, b1=b1, b2=b2, seed=child))
-        # padding cannot reach the quantum state: rerun the same branch with
-        # a different pad and require identical amplitudes
-        alt_b2 = ((b2[0] + 1) % args.p, (b2[1] + 1) % args.p)
-        alt = run(ProtocolConfig(p=args.p, b1=b1, b2=alt_b2, seed=child))
-        pad_independent = (
-            alt.transcript.outcomes == result.transcript.outcomes
-            and abs(result.final_state.inner(alt.final_state) - 1.0) < 1e-12
-        )
-        ok = abs(result.fidelity - 1.0) <= args.tol and pad_independent
-        all_ok &= ok
+        result = run(ProtocolConfig(p=args.p, b1=b1, seed=int(rng.integers(2**63 - 1))))
+        all_ok &= abs(result.fidelity - 1.0) <= args.tol
         trials.append(
             {
                 "trial": t,
                 "b1": b1,
-                "b2": list(b2),
                 "fidelity": result.fidelity,
                 "branch_probability": result.branch_probability,
-                "pad_independent": pad_independent,
             }
         )
-        print(
-            f"trial {t:3d}  b1={b1}  b2={b2}  fidelity={result.fidelity:.12g}  "
-            f"pad-independent={pad_independent}"
-        )
+        print(f"trial {t:3d}  b1={b1}  fidelity={result.fidelity:.12g}")
     report = {
         "command": "honest",
         "p": args.p,
@@ -163,40 +153,22 @@ def cmd_honest(args, parser) -> int:
     return 0 if all_ok else 1
 
 
-def _analyze_args(args, parser, attack: AttackSpec, variant: str):
-    n_visible = len(visible_edges(variant))
-    n_records = args.p**n_visible
-    if n_records > DEFAULT_RECORD_CAP and args.sample is None:
-        parser.error(
-            f"{n_records} records exceed the exhaustive cap {DEFAULT_RECORD_CAP}; "
-            "pass --sample N to sample records"
-        )
-    config = ProtocolConfig(p=args.p, attack=attack, variant=variant)
-    if args.sample is not None:
-        return analyze(
-            config, record_cap=0, n_samples=args.sample, sample_seed=_resolve_seed(args.seed)
-        )
-    return analyze(config)
-
-
 def cmd_attack(args, parser) -> int:
     variant = VARIANT_FLAGS[args.variant]
     seed = _resolve_seed(args.seed)
     if args.d_e is not None and args.attack != "random":
         parser.error(f"argument --d-e: applies to random attacks only, not {args.attack}")
     attack = make_attack(args.attack, args.edge, args.p, args.d_e, seed)
-    report = _analyze_args(args, parser, attack, variant)
-    verdict, witnesses = verify_independence(report, args.tol)
+    config = ProtocolConfig(p=args.p, attack=attack, variant=variant)
+    report = analyze(config, n_samples=args.sample, sample_seed=seed)
+    verdict, failures = verify_independence(report, args.tol)
     payload = report.to_json()
     payload.update(
         {
             "command": "attack",
             "verdict": "secure" if verdict else "insecure",
             "tolerance": args.tol,
-            "witnesses": {
-                "worst_record": list(witnesses["worst_record"]),
-                "failures": witnesses["failures"],
-            },
+            "witnesses": {"worst_record": list(report.worst_record), "failures": failures},
         }
     )
     _emit_json(payload, args.out, args.no_timestamp)
@@ -324,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--trials", type=_count(1), default=10)
     sp.add_argument("--b1", type=int, default=None, help="fix the scrambling key")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=_tolerance, default=1e-10)
     sp.add_argument("--json", metavar="PATH", default=None, help="write a JSON report")
     sp.set_defaults(func=cmd_honest)
 
@@ -335,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d-e", type=_count(1), default=None, dest="d_e",
                     help="environment dimension for random attacks (default p^2)")
     sp.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="full-pad")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--expect", choices=("secure", "insecure"), default=None)
     sp.add_argument("--sample", type=_count(1), default=None,
                     help="sample this many records instead of exhausting them")
@@ -348,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d-e-cycle", type=_count(1), nargs="+", default=[1, 3, 9],
                     dest="d_e_cycle", help="environment dimensions to cycle through")
     sp.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="full-pad")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--named", action="store_true",
                     help="also include keep-phi0 and measure-and-resend attacks")
     sp.add_argument("--expect", choices=("secure", "insecure"), default=None)

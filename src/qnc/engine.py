@@ -160,11 +160,6 @@ class SparseState:
         return cls._raw(layout, {k: a for k, a in amps.items() if abs(a) >= PRUNE_TOL})
 
     @classmethod
-    def basis_state(cls, layout: RegisterLayout, values: Sequence[int]) -> "SparseState":
-        key = tuple(int(v) % d for v, d in zip(values, layout.dims))
-        return cls(layout, {key: 1.0})
-
-    @classmethod
     def from_site_vectors(
         cls, layout: RegisterLayout, vectors: Sequence[np.ndarray]
     ) -> "SparseState":
@@ -399,14 +394,9 @@ class DensityMatrix:
         self.layout = layout
         self.matrix = matrix
 
-    def fidelity_with_pure(self, target: "SparseState | np.ndarray") -> float:
-        """<psi|rho|psi> for a pure target given as state or dense vector."""
-        if isinstance(target, SparseState):
-            vec = target.to_vector(order=self.layout.names)
-        else:
-            vec = np.asarray(target, dtype=complex)
-        if vec.shape != (self.layout.total_dim,):
-            raise LayoutError("target vector does not match the layout dimension")
+    def fidelity_with_pure(self, target: SparseState) -> float:
+        """<psi|rho|psi> for a pure target state."""
+        vec = target.to_vector(order=self.layout.names)
         return float(np.real(vec.conj() @ self.matrix @ vec))
 
     def __repr__(self) -> str:
@@ -420,7 +410,3 @@ def trace_distance(a: np.ndarray | DensityMatrix, b: np.ndarray | DensityMatrix)
     diff = am - bm
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
-
-def pure_overlap_fidelity(a: SparseState, b: SparseState) -> float:
-    """|<a|b>|^2 for two pure states on the same layout."""
-    return float(abs(a.inner(b)) ** 2)

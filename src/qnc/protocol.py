@@ -30,7 +30,7 @@ import numpy as np
 
 from .adversary import AttackSpec
 from .classical_code import FLOW_RULES, ROW_EDGES, _coeff, transfer_matrix
-from .engine import PRUNE_TOL, RegisterLayout, SparseState, pure_overlap_fidelity
+from .engine import PRUNE_TOL, RegisterLayout, SparseState
 from .ffield import validate_modulus
 
 VARIANT_FULL = "full_pad"
@@ -73,7 +73,9 @@ class ProtocolConfig:
 
     p: int
     b1: int = 0
-    b2: tuple[int, int] = (0, 0)  # the pad key: it changes what is broadcast, not the state
+    # The pad key reaches nothing here: it changes what is broadcast, not the
+    # state.  It stays because the benchmark's honest workload passes it.
+    b2: tuple[int, int] = (0, 0)
     attack: AttackSpec | None = None
     variant: str = VARIANT_FULL
     input_mode: str = ENTANGLED
@@ -106,28 +108,13 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class Transcript:
-    """Broadcast measurement outcomes for one branch.
-
-    ``outcomes`` maps edge index to the announced symbol C_k.  The sinks see
-    every outcome (after removing the b2 pad); the wiretapper's view is
-    ``eve_record``, which never includes a padded value.
-    """
-
-    p: int
-    variant: str
-    outcomes: dict[int, int]
-
-    @property
-    def eve_record(self) -> tuple[int, ...]:
-        """Outcomes visible to the wiretapper, in measurement order."""
-        return tuple(self.outcomes[e] for e in visible_edges(self.variant))
-
-
-@dataclass(frozen=True)
 class RunResult:
+    """One finished branch.  ``outcomes`` maps each measured edge to its
+    announced symbol C_k; the sinks see them all, the wiretapper those on
+    ``visible_edges``."""
+
     final_state: SparseState = field(repr=False)
-    transcript: Transcript
+    outcomes: dict[int, int]
     branch_probability: float
     fidelity: float
 
@@ -219,14 +206,14 @@ def support(config: ProtocolConfig, b1_values: Sequence[int] | None = None) -> S
 
 def step3_measure(
     state: SparseState, config: ProtocolConfig
-) -> tuple[SparseState, Transcript, float]:
+) -> tuple[SparseState, dict[int, int], float]:
     """Measure the nine upstream wires in the Fourier basis, sampling each
     outcome from one generator seeded with ``config.seed``.
 
     Outcomes are announced in the negated labeling, chosen so that the
     Step 4 exponents cancel the measurement phases without an extra sign
-    flip.  Returns the post-measurement state, the transcript, and the
-    branch probability.
+    flip.  Returns the post-measurement state, the announced outcomes by
+    edge, and the branch probability.
     """
     rng = np.random.default_rng(config.seed)
     outcomes: dict[int, int] = {}
@@ -236,8 +223,7 @@ def step3_measure(
         outcomes[edge] = (-result.outcome) % config.p
         probability *= result.probability
         state = result.state
-    transcript = Transcript(p=config.p, variant=config.variant, outcomes=outcomes)
-    return state, transcript, probability
+    return state, outcomes, probability
 
 
 @lru_cache(maxsize=None)
@@ -250,22 +236,22 @@ def recovery_columns(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(rows[:, 0].tolist()), tuple(rows[:, 1].tolist())
 
 
-def recovery_exponents(transcript: Transcript) -> tuple[int, int]:
+def recovery_exponents(p: int, outcomes: dict[int, int]) -> tuple[int, int]:
     """Per-sink phase correction exponents from the announced outcomes.
 
-    Each sink contracts the transcript against the message column of the
+    Each sink contracts the outcomes against the message column of the
     honest transfer matrix; the scrambling-key column only ever
     contributes a global phase.
     """
-    m1, m2 = recovery_columns(transcript.p)
-    r1 = sum(transcript.outcomes[e] * c for e, c in zip(MEASURED_EDGES, m1))
-    r2 = sum(transcript.outcomes[e] * c for e, c in zip(MEASURED_EDGES, m2))
-    return r1 % transcript.p, r2 % transcript.p
+    m1, m2 = recovery_columns(p)
+    r1 = sum(outcomes[e] * c for e, c in zip(MEASURED_EDGES, m1))
+    r2 = sum(outcomes[e] * c for e, c in zip(MEASURED_EDGES, m2))
+    return r1 % p, r2 % p
 
 
-def step4_recover(state: SparseState, transcript: Transcript) -> SparseState:
+def step4_recover(state: SparseState, p: int, outcomes: dict[int, int]) -> SparseState:
     """Apply the announced-outcome phase corrections at the two sinks."""
-    r1, r2 = recovery_exponents(transcript)
+    r1, r2 = recovery_exponents(p, outcomes)
     state = state.apply_phase_power(wire(12), -r1)
     state = state.apply_phase_power(wire(13), -r2)
     return state
@@ -296,24 +282,24 @@ def output_fidelity(state: SparseState, config: ProtocolConfig, target: SparseSt
     is traced out first.
     """
     if config.attack is None:
-        return pure_overlap_fidelity(state, target)
+        return float(abs(state.inner(target)) ** 2)
     reduced = state.partial_trace(target.layout.names)
     return reduced.fidelity_with_pure(target)
 
 
-def _finish(state: SparseState, config: ProtocolConfig, transcript: Transcript,
+def _finish(state: SparseState, config: ProtocolConfig, outcomes: dict[int, int],
             probability: float, target: SparseState) -> RunResult:
     """Step 4 on one measured branch, and its fidelity with ``target``."""
-    final = step4_recover(state, transcript)
-    return RunResult(final, transcript, probability, output_fidelity(final, config, target))
+    final = step4_recover(state, config.p, outcomes)
+    return RunResult(final, outcomes, probability, output_fidelity(final, config, target))
 
 
 def run(config: ProtocolConfig) -> RunResult:
     """Execute one full protocol run, sampling the measurement branch from
     ``config.seed``."""
     state = step2_transmit(step1_initialize(config), config)
-    state, transcript, probability = step3_measure(state, config)
-    return _finish(state, config, transcript, probability, ideal_output_state(config))
+    state, outcomes, probability = step3_measure(state, config)
+    return _finish(state, config, outcomes, probability, ideal_output_state(config))
 
 
 def enumerate_branches(
@@ -340,9 +326,7 @@ def enumerate_branches(
 
     def descend(state: SparseState, outcomes: tuple[int, ...], prob: float) -> Iterator[RunResult]:
         if len(outcomes) == len(MEASURED_EDGES):
-            transcript = Transcript(p=p, variant=config.variant,
-                                    outcomes=dict(zip(MEASURED_EDGES, outcomes)))
-            yield _finish(state, config, transcript, prob, target)
+            yield _finish(state, config, dict(zip(MEASURED_EDGES, outcomes)), prob, target)
             return
         edge = MEASURED_EDGES[len(outcomes)]
         if edge in forced:

@@ -51,8 +51,7 @@ from .protocol import (
 # not called here; kept importable because qncbench/tracing.py lists it in WRAPPED
 from .protocol import step2_transmit  # noqa: F401
 
-DEFAULT_RECORD_CAP = 3**8
-DEFAULT_SAMPLES = 512
+RECORD_CAP = 3**8
 # bytes of one batch of conditional states (records x n_kept^2 complex);
 # analyze holds a few arrays of this size at once
 _BATCH_BYTES = 4 << 20
@@ -176,15 +175,15 @@ def _marginals(rho: np.ndarray, p: int, d_env: int) -> tuple[np.ndarray, np.ndar
 def analyze(
     config: ProtocolConfig,
     b1_values: Sequence[int] | None = None,
-    record_cap: int = DEFAULT_RECORD_CAP,
-    n_samples: int = DEFAULT_SAMPLES,
+    n_samples: int | None = None,
     sample_seed: int = 0,
     with_fidelity: bool = True,
 ) -> SecurityReport:
     """Reconstruct the wiretapper's conditional states and measure deviations.
 
-    Records are enumerated exhaustively when their count fits ``record_cap``,
-    otherwise ``n_samples`` records are drawn with ``sample_seed``.  The
+    Every record is enumerated unless ``n_samples`` is given; then that many
+    records are drawn with ``sample_seed``.  More than ``RECORD_CAP`` records
+    without ``n_samples`` is a ``ValueError``, raised before any work.  The
     scrambling key is averaged uniformly over ``b1_values`` (all of F_p by
     default); ``config.b1`` is ignored here.  Recovery-step corrections act
     only on traced registers and are omitted, as the verdict cannot depend
@@ -203,12 +202,17 @@ def analyze(
         raise ValueError("analyze requires entangled-halves inputs")
     t0 = time.perf_counter()
     p = config.p
-    sup = support(config, b1_values)
-    spec = _wiretap_spectrum(config, sup)
     visible = visible_edges(config.variant)
     n_vis = len(visible)
     n_all = p**n_vis
-    exhaustive = n_all <= record_cap
+    exhaustive = n_samples is None
+    if exhaustive and n_all > RECORD_CAP:
+        raise ValueError(
+            f"{n_all} records exceed the exhaustive cap {RECORD_CAP}; "
+            "pass --sample N to sample records"
+        )
+    sup = support(config, b1_values)
+    spec = _wiretap_spectrum(config, sup)
     d_env = config.attack.d_env
     ng = spec.kept_layout.total_dim
     batch = max(1, _BATCH_BYTES // (16 * ng * ng))
@@ -269,13 +273,14 @@ def analyze(
     )
 
 
-def verify_independence(report: SecurityReport, tol: float = 1e-9) -> tuple[bool, dict]:
-    """Certify that the wiretapper learns nothing, or exhibit a witness.
+def verify_independence(report: SecurityReport, tol: float = 1e-9) -> tuple[bool, list[str]]:
+    """Certify that the wiretapper learns nothing, or say why not.
 
     True iff every conditional state is within ``tol`` (trace distance) of
     the proven product form, every reference marginal is within ``tol`` of
     maximally mixed, and the record distribution is within ``tol`` of
-    uniform.  Witness dict carries the worst record and its deviations.
+    uniform.  The list names each bound that fails; the report itself holds
+    the worst record and the deviations.
     """
     failures = []
     if report.product_deviation > tol:
@@ -289,14 +294,7 @@ def verify_independence(report: SecurityReport, tol: float = 1e-9) -> tuple[bool
         )
     if report.record_uniformity > tol:
         failures.append(f"record distribution deviates from uniform by {report.record_uniformity:.3e}")
-    witnesses = {
-        "worst_record": report.worst_record,
-        "product_deviation": report.product_deviation,
-        "reference_deviation": report.reference_deviation_from_maximally_mixed,
-        "record_uniformity": report.record_uniformity,
-        "failures": failures,
-    }
-    return not failures, witnesses
+    return not failures, failures
 
 
 def attacked_fidelity(config: ProtocolConfig) -> float:

@@ -105,6 +105,14 @@ MUTATIONS = {
         (BRANCHES_VS_LITERAL,
          "tests/test_security.py::test_analysis_matches_protocol_spot_records_under_weak_pad_haar"),
     ),
+    # Each sink then undoes the other sink's measurement phases.
+    "sinks-corrections-swapped": (
+        "protocol.py",
+        "    m1, m2 = recovery_columns(p)\n",
+        "    m2, m1 = recovery_columns(p)\n",
+        ("tests/test_protocol.py::test_honest_run_teleports_perfectly",
+         "tests/test_protocol.py::test_recovery_exponents_contract_the_message_columns"),
+    ),
     # The weak pad then hides what the full pad hides, and its leak vanishes.
     "weak-pad-hides-edge-10": (
         "protocol.py",

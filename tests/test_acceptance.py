@@ -158,7 +158,7 @@ def test_criterion_4_full_pad_wiretaps_are_certified_independent(announce):
     worst = 0.0
     for attack in suite:
         report = analyze(ProtocolConfig(p=3, attack=attack), with_fidelity=False)
-        ok, witnesses = verify_independence(report, tol=1e-9)
+        ok, reasons = verify_independence(report, tol=1e-9)
         worst = max(
             worst,
             report.product_deviation,
@@ -166,7 +166,7 @@ def test_criterion_4_full_pad_wiretaps_are_certified_independent(announce):
             report.record_uniformity,
         )
         if not ok:
-            failures.append((attack.edge, attack.label, witnesses["failures"]))
+            failures.append((attack.edge, attack.label, reasons))
     elapsed = time.perf_counter() - t0
 
     ok = not failures and elapsed < 600.0

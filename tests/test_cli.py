@@ -1,11 +1,13 @@
 import csv
 import json
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+from qnc import cli
 from qnc.classical_code import ATTACKABLE_EDGES, ROW_EDGES
 from qnc.cli import main
 from test_classical_code import EDGE7_ROWS_P3, HONEST_ROWS_P3
@@ -25,9 +27,26 @@ def run_cli(argv):
 
 def test_honest_prints_per_trial_lines(capsys):
     assert run_cli(["honest", "--p", "3", "--trials", "3", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("fidelity=1") == 3
-    assert "pad-independent=True" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    for t, line in enumerate(lines):
+        match = re.fullmatch(rf"trial +{t}  b1={t}  fidelity=(\S+)", line)
+        assert match, line
+        assert float(match[1]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_honest_runs_the_protocol_once_per_trial(monkeypatch, capsys):
+    calls = []
+    real_run = cli.run
+
+    def counted(config):
+        calls.append(config)
+        return real_run(config)
+
+    monkeypatch.setattr("qnc.cli.run", counted)
+    assert run_cli(["honest", "--p", "3", "--trials", "4", "--seed", "2"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 4
 
 
 def test_honest_rejects_composite_modulus(capsys):
@@ -46,6 +65,9 @@ def test_honest_json_report(tmp_path, capsys):
     blob = json.loads(path.read_text())
     assert blob["all_within_tolerance"] is True
     assert len(blob["trials"]) == 2
+    for t, trial in enumerate(blob["trials"]):
+        assert set(trial) == {"trial", "b1", "fidelity", "branch_probability"}
+        assert trial["trial"] == t and trial["fidelity"] == pytest.approx(1.0, abs=1e-10)
     assert "generated_at" not in blob
 
 
@@ -197,6 +219,22 @@ def test_out_of_range_counts_are_usage_errors(argv, capsys):
     assert f"argument {flag}: must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["honest", "--trials", "1"], ["attack", "--edge", "11", "--attack", "keep-phi0",
+     "--variant", "weak-pad", "--expect", "insecure"], ["sweep", "--jobs", "1"]],
+    ids=["honest", "attack", "sweep"],
+)
+def test_tolerance_outside_its_domain_is_a_usage_error(argv, value, capsys, monkeypatch):
+    """--tol is a finite number >= 0: NaN would call every tap secure (every
+    comparison with it is False), and so would inf.  Refused before any work."""
+    monkeypatch.setattr("qnc.cli.analyze", None)  # any analysis would fail with exit 4
+    monkeypatch.setattr("qnc.cli.run", None)
+    assert run_cli(argv + ["--tol", value]) == 2
+    assert f"argument --tol: must be a finite number >= 0, got {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["attack", "--p", "9", "--edge", "9"], ["sweep", "--p", "x", "--jobs", "1"]],
@@ -243,6 +281,19 @@ def test_sweep_writes_csv_and_summary(tmp_path, capsys):
     summary = [l for l in out.splitlines() if l.startswith("edge ")]
     assert len(summary) == 7
     assert "max product_deviation" in summary[0]
+
+
+def test_sweep_at_p5_is_refused_before_any_analysis(monkeypatch, capsys):
+    """5^7 records exceed the exhaustive cap, and a sweep has no --sample:
+    it exits 2, as ``attack`` does, instead of sampling records."""
+
+    def no_support(*args, **kwargs):
+        raise AssertionError("an analysis started")
+
+    monkeypatch.setattr("qnc.security.support", no_support)
+    assert run_cli(["sweep", "--p", "5", "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "exceed the exhaustive cap" in err and "--sample" in err
 
 
 def test_sweep_worker_pool_matches_serial(tmp_path, capsys):

@@ -57,7 +57,7 @@ def test_engines_agree_on_a_handpicked_sequence():
     """One fixed circuit, checked at every step, mirroring both engines."""
     p = 3
     names = [("r0", p), ("r1", p), ("r2", p)]
-    sparse = SparseState.basis_state(RegisterLayout(names), [1, 0, 2])
+    sparse = SparseState(RegisterLayout(names), {(1, 0, 2): 1.0})
     vec = np.zeros(27, dtype=complex)
     vec[np.ravel_multi_index((1, 0, 2), (3, 3, 3))] = 1.0
     dense = DenseState(names, vec)

@@ -18,7 +18,6 @@ from qnc.protocol import (
     VARIANT_WEAK,
     EnumerationCapExceeded,
     ProtocolConfig,
-    Transcript,
     branch_table,
     enumerate_branches,
     ideal_output_state,
@@ -30,12 +29,9 @@ from qnc.protocol import (
     step3_measure,
     step4_recover,
     support,
+    visible_edges,
     wire,
 )
-
-
-def transcript_from_record(p, record, variant=VARIANT_FULL):
-    return Transcript(p=p, variant=variant, outcomes=dict(zip(MEASURED_EDGES, record)))
 
 
 # -- configuration -----------------------------------------------------
@@ -180,8 +176,8 @@ def test_support_equals_the_engine(p, edge, tap, mode, data):
 def test_step3_measures_exactly_the_nine_upstream_wires():
     cfg = ProtocolConfig(p=3, seed=0)
     st = step2_transmit(step1_initialize(cfg), cfg)
-    final, transcript, prob = step3_measure(st, cfg)
-    assert set(transcript.outcomes) == set(MEASURED_EDGES)
+    final, outcomes, prob = step3_measure(st, cfg)
+    assert set(outcomes) == set(MEASURED_EDGES)
     assert final.layout.names == ("ref1", "ref2", "H12", "H13")
     assert prob == pytest.approx(3.0**-9)
 
@@ -190,20 +186,19 @@ def test_step3_forced_outcomes_are_respected():
     cfg = ProtocolConfig(p=3)
     forced = dict(zip(MEASURED_EDGES, (2, 1, 0, 2, 1, 0, 2, 1, 0)))
     (leaf,) = enumerate_branches(cfg, forced=forced)
-    assert leaf.transcript.outcomes == forced
+    assert leaf.outcomes == forced
     assert leaf.branch_probability == pytest.approx(3.0**-9)
 
 
 def test_transcript_pad_and_eve_view():
     """The wiretapper sees every outcome but the padded ones: edges 10 and 11
     under the full pad, edge 11 alone under the weak pad."""
-    t = transcript_from_record(3, (0, 1, 2, 0, 1, 2, 0, 1, 2))
-    assert t.outcomes[10] == 1 and t.outcomes[11] == 2
-    assert t.eve_record == (0, 1, 2, 0, 1, 2, 0)  # edges 10, 11 hidden
-    weak = transcript_from_record(
-        3, (0, 1, 2, 0, 1, 2, 0, 1, 2), variant=VARIANT_WEAK
-    )
-    assert weak.eve_record == (0, 1, 2, 0, 1, 2, 0, 1)  # only edge 11 hidden
+    outcomes = dict(zip(MEASURED_EDGES, (0, 1, 2, 0, 1, 2, 0, 1, 2)))
+    assert outcomes[10] == 1 and outcomes[11] == 2
+    full = tuple(outcomes[e] for e in visible_edges(VARIANT_FULL))
+    assert full == (0, 1, 2, 0, 1, 2, 0)  # edges 10, 11 hidden
+    weak = tuple(outcomes[e] for e in visible_edges(VARIANT_WEAK))
+    assert weak == (0, 1, 2, 0, 1, 2, 0, 1)  # only edge 11 hidden
 
 
 # -- step 4 ------------------------------------------------------------
@@ -212,11 +207,10 @@ def test_transcript_pad_and_eve_view():
 def test_recovery_exponents_contract_the_message_columns():
     p = 3
     record = (1, 0, 2, 1, 0, 2, 1, 0, 2)
-    t = transcript_from_record(p, record)
     m = transfer_matrix(p)
     r1 = sum(c * int(m[ROW_EDGES.index(e), 0]) for c, e in zip(record, MEASURED_EDGES)) % p
     r2 = sum(c * int(m[ROW_EDGES.index(e), 1]) for c, e in zip(record, MEASURED_EDGES)) % p
-    assert recovery_exponents(t) == (r1, r2)
+    assert recovery_exponents(p, dict(zip(MEASURED_EDGES, record))) == (r1, r2)
 
 
 def test_zero_record_needs_no_correction():
@@ -224,9 +218,9 @@ def test_zero_record_needs_no_correction():
     again leaves the state as it is."""
     cfg = ProtocolConfig(p=3)
     (leaf,) = enumerate_branches(cfg, forced={e: 0 for e in MEASURED_EDGES})
-    assert recovery_exponents(leaf.transcript) == (0, 0)
+    assert recovery_exponents(3, leaf.outcomes) == (0, 0)
     final = leaf.final_state
-    assert step4_recover(final, leaf.transcript).inner(final) == pytest.approx(final.norm_squared())
+    assert step4_recover(final, 3, leaf.outcomes).inner(final) == pytest.approx(final.norm_squared())
     assert leaf.fidelity == pytest.approx(1.0, abs=1e-12)
 
 
@@ -245,7 +239,7 @@ def test_honest_run_teleports_perfectly(p):
 def test_run_is_seed_deterministic():
     cfg = ProtocolConfig(p=3, b1=1, seed=77)
     a, b = run(cfg), run(cfg)
-    assert a.transcript.outcomes == b.transcript.outcomes
+    assert a.outcomes == b.outcomes
     assert a.final_state.amps == b.final_state.amps
 
 
@@ -256,7 +250,7 @@ def test_pad_choice_never_touches_the_quantum_state():
         base = run(ProtocolConfig(p=3, b1=2, variant=variant, seed=5))
         for b2 in itertools.product(range(3), repeat=2):
             res = run(ProtocolConfig(p=3, b1=2, b2=b2, variant=variant, seed=5))
-            assert res.transcript == base.transcript
+            assert res.outcomes == base.outcomes
             assert res.fidelity == pytest.approx(base.fidelity, abs=1e-14)
             assert res.final_state.inner(base.final_state) == pytest.approx(1.0)
 
@@ -314,7 +308,7 @@ GOLDEN_RUNS = {
 def test_seeded_run_matches_its_recorded_result(name):
     cfg, record, probability, fidelity = GOLDEN_RUNS[name]
     res = run(cfg)
-    assert tuple(res.transcript.outcomes[e] for e in MEASURED_EDGES) == record
+    assert tuple(res.outcomes[e] for e in MEASURED_EDGES) == record
     assert res.branch_probability == pytest.approx(probability, rel=1e-12)
     assert res.fidelity == pytest.approx(fidelity, abs=1e-12)
 
@@ -360,7 +354,7 @@ def test_enumeration_over_a_subset_is_exhaustive_and_normalized():
     cfg = ProtocolConfig(p=3, seed=0)
     results = list(enumerate_branches(cfg, forced=forced_except((5, 6, 7))))
     assert len(results) == 27
-    assert len({tuple(r.transcript.outcomes.values()) for r in results}) == 27
+    assert len({tuple(r.outcomes.values()) for r in results}) == 27
     assert sum(r.branch_probability for r in results) == pytest.approx(3.0**-6)
     assert all(r.fidelity == pytest.approx(1.0, abs=1e-12) for r in results)
 
@@ -412,7 +406,7 @@ def test_forced_edges_pin_single_branches():
     record = (2, 0, 1, 1, 0, 2, 0, 1, 2)
     results = list(enumerate_branches(cfg, forced=dict(zip(MEASURED_EDGES, record))))
     assert len(results) == 1
-    assert results[0].transcript.outcomes == dict(zip(MEASURED_EDGES, record))
+    assert results[0].outcomes == dict(zip(MEASURED_EDGES, record))
     assert results[0].branch_probability == pytest.approx(3.0**-9)
 
 
