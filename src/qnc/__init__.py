@@ -17,6 +17,8 @@ from .classical_code import (
     ATTACKABLE_EDGES,
     EDGES,
     classical_secrecy_check,
+    inverse_of_two,
+    is_odd_prime,
     key_coefficient,
     recovery_check,
     transfer_matrix,
@@ -29,7 +31,6 @@ from .engine import (
     fourier_basis_state,
     trace_distance,
 )
-from .ffield import inverse_of_two, is_odd_prime
 from .protocol import (
     MEASURED_EDGES,
     VARIANT_FULL,

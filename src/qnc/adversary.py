@@ -14,11 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical_code import ATTACKABLE_EDGES
+from .classical_code import ATTACKABLE_EDGES, validate_modulus
 from .engine import fourier_basis_state
-from .ffield import validate_modulus
-
-_QR_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,7 @@ class AttackSpec:
             raise ValueError(f"attackable edges are {ATTACKABLE_EDGES}, got {self.edge}")
         v = np.asarray(self.isometry, dtype=complex)
         object.__setattr__(self, "isometry", v)
-        if v.ndim != 2 or v.shape[0] % v.shape[1] != 0:
+        if v.ndim != 2 or v.shape[1] == 0 or v.shape[0] % v.shape[1] != 0:
             raise ValueError(f"isometry shape {v.shape} is not (d_env * p, p)")
         gram = v.conj().T @ v
         if not np.allclose(gram, np.eye(v.shape[1]), atol=1e-10):
@@ -123,8 +120,9 @@ def random_isometry(edge: int, p: int, d_env: int | None = None, seed: int = 0) 
     """Haar-random isometry attack with the given environment dimension.
 
     Drawn by QR-decomposing a complex Ginibre matrix and fixing the phase of
-    R's diagonal, which makes the distribution exactly Haar.  Degenerate
-    draws (a vanishing diagonal entry) are redrawn a bounded number of times.
+    R's diagonal, which makes the distribution exactly Haar.  A degenerate
+    draw (a vanishing diagonal entry, probability zero) fails the
+    orthonormality check of ``AttackSpec``.
     """
     validate_modulus(p)
     if d_env is None:
@@ -132,12 +130,8 @@ def random_isometry(edge: int, p: int, d_env: int | None = None, seed: int = 0) 
     if d_env < 1:
         raise ValueError(f"environment dimension must be >= 1, got {d_env}")
     rng = np.random.default_rng(seed)
-    for _ in range(_QR_RETRIES):
-        g = rng.normal(size=(d_env * p, p)) + 1j * rng.normal(size=(d_env * p, p))
-        q, r = np.linalg.qr(g)
-        diag = np.diagonal(r)
-        if np.abs(diag).min() < 1e-12:
-            continue
-        v = q * (diag / np.abs(diag))
-        return AttackSpec(edge=edge, isometry=v, label=f"haar-d{d_env}", seed=seed)
-    raise RuntimeError("Ginibre draw kept producing degenerate matrices")
+    g = rng.normal(size=(d_env * p, p)) + 1j * rng.normal(size=(d_env * p, p))
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r)
+    v = q * (diag / np.abs(diag))
+    return AttackSpec(edge=edge, isometry=v, label=f"haar-d{d_env}", seed=seed)

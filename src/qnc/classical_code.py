@@ -10,14 +10,35 @@ edges, ``FLOW_RULES`` gives each computed edge as a linear combination of
 earlier edges, and ``transfer_matrix`` derives the one integer matrix that
 the recovery and secrecy checks, the coherent protocol's support and the
 sinks' corrections all read.  The value-level forward pass that the matrix
-is tested against lives in ``tests/flow_ref.py``.
+is tested against lives in ``tests/flow_ref.py``.  Field arithmetic is done
+on plain integers reduced mod p; this module also validates the modulus, an
+odd prime p >= 3, and supplies the inverse of two.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .ffield import inverse_of_two, validate_modulus
+
+def is_odd_prime(n: int) -> bool:
+    """Deterministic primality test by trial division, restricted to odd n >= 3."""
+    return n >= 3 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
+def validate_modulus(p: int) -> int:
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise TypeError(f"modulus must be an int, got {type(p).__name__}")
+    if not is_odd_prime(p):
+        raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
+    return p
+
+
+def inverse_of_two(p: int) -> int:
+    """Multiplicative inverse of 2 mod p; equals (p + 1) / 2 for odd p."""
+    return (p + 1) // 2
+
 
 # Edge index -> (tail node, head node).  Edges 3, 4, 14, 15 are classical
 # channels; 1, 2 and 5..13 carry qudits in the quantum protocol.

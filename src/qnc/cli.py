@@ -35,11 +35,11 @@ from .classical_code import (
     ATTACKABLE_EDGES,
     ROW_EDGES,
     classical_secrecy_check,
+    is_odd_prime,
     key_coefficient,
     recovery_check,
     transfer_matrix,
 )
-from .ffield import is_odd_prime
 from .protocol import VARIANT_FULL, VARIANT_WEAK, ProtocolConfig, run
 from .security import SecurityReport, analyze, verify_independence
 
@@ -64,7 +64,10 @@ def _emit_json(data: dict, path: str | None, no_timestamp: bool) -> None:
         data.pop("elapsed_seconds", None)
     else:
         data["generated_at"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(_sig12(data), indent=2, sort_keys=True) + "\n"
+    _write(json.dumps(_sig12(data), indent=2, sort_keys=True) + "\n", path)
+
+
+def _write(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -73,10 +76,16 @@ def _emit_json(data: dict, path: str | None, no_timestamp: bool) -> None:
 
 
 def _resolve_seed(explicit: int | None) -> int:
+    """``--seed``, else QNC_SEED, else 0; QNC_SEED obeys the rule of ``--seed``."""
     if explicit is not None:
         return explicit
     env = os.environ.get("QNC_SEED", "").strip()
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return _count(0)(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"QNC_SEED: {exc}") from None
 
 
 def make_attack(kind: str, edge: int, p: int, d_env: int | None, seed: int) -> AttackSpec:
@@ -227,12 +236,7 @@ def cmd_sweep(args, parser) -> int:
         row = dict(row)
         row["product_deviation"] = f"{row['product_deviation']:.12g}"
         writer.writerow(row)
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), args.out)
 
     mismatch = False
     for edge in ATTACKABLE_EDGES:
@@ -287,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--p", type=_odd_prime, default=3, help="odd prime field size")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (falls back to QNC_SEED, then 0)")
+        sp.add_argument("--seed", type=_count(0), default=None,
+                        help="RNG seed >= 0 (falls back to QNC_SEED, then 0)")
         sp.add_argument("--no-timestamp", action="store_true",
                         help="omit the generated_at field for byte-stable output")
 

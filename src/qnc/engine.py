@@ -246,13 +246,11 @@ class SparseState:
         out = {key: a * table[(power * key[i]) % d] for key, a in self.amps.items()}
         return SparseState._raw(self.layout, out)
 
-    def apply_isometry(
-        self, name: str, matrix: np.ndarray, env_name: str = "E"
-    ) -> "SparseState":
+    def apply_isometry(self, name: str, matrix: np.ndarray) -> "SparseState":
         """Send one register through an isometry into (environment, register).
 
         ``matrix`` has shape (env_dim * d, d) with row index env * d + wire;
-        the environment register is appended at the end of the layout.
+        the environment register ``E`` is appended at the end of the layout.
         """
         i = self.layout.index(name)
         d = self.layout.dim(name)
@@ -263,7 +261,7 @@ class SparseState:
         gram = matrix.conj().T @ matrix
         if not np.allclose(gram, np.eye(d), atol=1e-10):
             raise ValueError("matrix is not an isometry (V†V != I)")
-        new_layout = self.layout.appended(env_name, env_dim)
+        new_layout = self.layout.appended("E", env_dim)
         # per input value: the (env, wire, entry) triples of its non-negligible column
         columns = [
             [(*divmod(int(row), d), complex(matrix[row, v]))
@@ -403,10 +401,7 @@ class DensityMatrix:
         return f"DensityMatrix({self.layout!r})"
 
 
-def trace_distance(a: np.ndarray | DensityMatrix, b: np.ndarray | DensityMatrix) -> float:
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of (a - b); both operators must be hermitian."""
-    am = a.matrix if isinstance(a, DensityMatrix) else np.asarray(a)
-    bm = b.matrix if isinstance(b, DensityMatrix) else np.asarray(b)
-    diff = am - bm
-    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
+    return float(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum())
 

@@ -29,9 +29,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .adversary import AttackSpec
-from .classical_code import FLOW_RULES, ROW_EDGES, _coeff, transfer_matrix
+from .classical_code import FLOW_RULES, ROW_EDGES, _coeff, transfer_matrix, validate_modulus
 from .engine import PRUNE_TOL, RegisterLayout, SparseState
-from .ffield import validate_modulus
 
 VARIANT_FULL = "full_pad"
 VARIANT_WEAK = "weak_pad_c11_only"
@@ -119,22 +118,28 @@ class RunResult:
     fidelity: float
 
 
-def step1_initialize(config: ProtocolConfig) -> SparseState:
-    """Prepare sources and blank interior wires.
+def _message_state(config: ProtocolConfig, on: tuple[int, int],
+                   blank: tuple[int, ...] = ()) -> SparseState:
+    """The two messages on the wires of edges ``on``, then ``blank`` wires at |0>.
 
     Entangled mode: each message wire is half of a maximally entangled pair
-    whose other half stays behind as a reference register.  Given mode: the
-    message wires carry the supplied input vectors directly.
+    whose other half is a reference register (``ref1``, ``ref2``, placed
+    first).  Given mode: the message wires carry the supplied input vectors.
     """
     p = config.p
-    wires = [(wire(e), p) for e in (1, 2) + CODED_EDGES]
+    wires = [(wire(e), p) for e in on + blank]
     if config.input_mode == ENTANGLED:
         layout = RegisterLayout([("ref1", p), ("ref2", p)] + wires)
-        zeros = (0,) * len(CODED_EDGES)
+        zeros = (0,) * len(blank)
         amps = {(a, b, a, b) + zeros: 1.0 / p for a in range(p) for b in range(p)}
         return SparseState(layout, amps)
-    vectors = [config.psi1, config.psi2] + [np.eye(p)[0]] * len(CODED_EDGES)
+    vectors = [config.psi1, config.psi2] + [np.eye(p)[0]] * len(blank)
     return SparseState.from_site_vectors(RegisterLayout(wires), vectors)
+
+
+def step1_initialize(config: ProtocolConfig) -> SparseState:
+    """Prepare the sources on edges 1 and 2 and blank the coded wires."""
+    return _message_state(config, (1, 2), CODED_EDGES)
 
 
 def step2_transmit(state: SparseState, config: ProtocolConfig) -> SparseState:
@@ -157,7 +162,7 @@ def step2_transmit(state: SparseState, config: ProtocolConfig) -> SparseState:
                 terms.append((wire(src), c))
         state = state.apply_affine_adder(wire(edge), terms, constant)
         if config.attack is not None and config.attack.edge == edge:
-            state = state.apply_isometry(wire(edge), config.attack.isometry, "E")
+            state = state.apply_isometry(wire(edge), config.attack.isometry)
     return state
 
 
@@ -258,20 +263,8 @@ def step4_recover(state: SparseState, p: int, outcomes: dict[int, int]) -> Spars
 
 
 def ideal_output_state(config: ProtocolConfig) -> SparseState:
-    """The target final state: message wires teleported to the sinks.
-
-    Entangled mode pairs each reference with its sink wire; given mode puts
-    the input vectors on the sink wires directly.
-    """
-    p = config.p
-    if config.input_mode == ENTANGLED:
-        layout = RegisterLayout(
-            [("ref1", p), ("ref2", p), (wire(12), p), (wire(13), p)]
-        )
-        amps = {(a, b, a, b): 1.0 / p for a in range(p) for b in range(p)}
-        return SparseState(layout, amps)
-    layout = RegisterLayout([(wire(12), p), (wire(13), p)])
-    return SparseState.from_site_vectors(layout, [config.psi1, config.psi2])
+    """The target final state: the messages teleported to sink edges 12 and 13."""
+    return _message_state(config, (12, 13))
 
 
 def output_fidelity(state: SparseState, config: ProtocolConfig, target: SparseState) -> float:
@@ -307,7 +300,7 @@ def enumerate_branches(
 ) -> Iterator[RunResult]:
     """Yield every nonzero-probability branch of Steps 3-4.
 
-    Edges in ``forced`` are pinned to the given announced outcome (their
+    Edges in ``forced`` are pinned to an announced outcome in [0, p) (its
     branch weight multiplies in); every other measured edge is enumerated.
     Without forcing, branch probabilities sum to one.  This path computes a
     fidelity per leaf, for attacked runs via a partial trace, which is the
@@ -316,9 +309,11 @@ def enumerate_branches(
     """
     p = config.p
     forced = forced or {}
-    for e in forced:
+    for e, announced in forced.items():
         if e not in MEASURED_EDGES:
             raise ValueError(f"edge {e} is not measured in Step 3")
+        if not 0 <= announced < p:
+            raise ValueError(f"announced outcome {announced} on edge {e} is outside [0, {p})")
     free = len(MEASURED_EDGES) - len(forced)
     if p**free > ENUMERATION_CAP:
         raise EnumerationCapExceeded(f"{p}^{free} branches exceed the cap of {ENUMERATION_CAP}")

@@ -174,7 +174,6 @@ def _marginals(rho: np.ndarray, p: int, d_env: int) -> tuple[np.ndarray, np.ndar
 
 def analyze(
     config: ProtocolConfig,
-    b1_values: Sequence[int] | None = None,
     n_samples: int | None = None,
     sample_seed: int = 0,
     with_fidelity: bool = True,
@@ -184,10 +183,9 @@ def analyze(
     Every record is enumerated unless ``n_samples`` is given; then that many
     records are drawn with ``sample_seed``.  More than ``RECORD_CAP`` records
     without ``n_samples`` is a ``ValueError``, raised before any work.  The
-    scrambling key is averaged uniformly over ``b1_values`` (all of F_p by
-    default); ``config.b1`` is ignored here.  Recovery-step corrections act
-    only on traced registers and are omitted, as the verdict cannot depend
-    on them.
+    scrambling key is averaged uniformly over F_p; ``config.b1`` is ignored
+    here.  Recovery-step corrections act only on traced registers and are
+    omitted, as the verdict cannot depend on them.
 
     Every evaluated record's state is built once, in batches, for its
     probability, the hermiticity check and the wiretapper's marginal.  The
@@ -211,7 +209,7 @@ def analyze(
             f"{n_all} records exceed the exhaustive cap {RECORD_CAP}; "
             "pass --sample N to sample records"
         )
-    sup = support(config, b1_values)
+    sup = support(config)
     spec = _wiretap_spectrum(config, sup)
     d_env = config.attack.d_env
     ng = spec.kept_layout.total_dim
@@ -276,12 +274,14 @@ def analyze(
 def verify_independence(report: SecurityReport, tol: float = 1e-9) -> tuple[bool, list[str]]:
     """Certify that the wiretapper learns nothing, or say why not.
 
-    True iff every conditional state is within ``tol`` (trace distance) of
-    the proven product form, every reference marginal is within ``tol`` of
-    maximally mixed, and the record distribution is within ``tol`` of
-    uniform.  The list names each bound that fails; the report itself holds
-    the worst record and the deviations.
+    True iff every conditional state is within ``tol``, a finite number
+    >= 0, of the proven product form (trace distance), every reference
+    marginal is within ``tol`` of maximally mixed, and the record
+    distribution is within ``tol`` of uniform.  The list names each bound
+    that fails; the report itself holds the worst record and the deviations.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     failures = []
     if report.product_deviation > tol:
         failures.append(

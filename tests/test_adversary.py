@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,12 @@ def test_shape_and_gram_validation():
         AttackSpec(edge=7, isometry=np.ones((4, 3)))
     with pytest.raises(ValueError):
         AttackSpec(edge=7, isometry=np.eye(3) * 2.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 0)])
+def test_zero_width_isometry_is_refused(shape):
+    with pytest.raises(ValueError, match=re.escape(f"isometry shape {shape}")):
+        AttackSpec(edge=7, isometry=np.zeros(shape))
 
 
 def test_identity_forward_properties():

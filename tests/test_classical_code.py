@@ -11,11 +11,11 @@ from qnc.classical_code import (
     FLOW_RULES,
     ROW_EDGES,
     classical_secrecy_check,
+    inverse_of_two,
     key_coefficient,
     recovery_check,
     transfer_matrix,
 )
-from qnc.ffield import inverse_of_two
 
 # The p = 3 transfer matrices, row by row: honest over (a1, a2, b1), and with
 # edge 7 replaced by an injected symbol, over (a1, a2, b1, e1).

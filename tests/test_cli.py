@@ -235,6 +235,29 @@ def test_tolerance_outside_its_domain_is_a_usage_error(argv, value, capsys, monk
     assert f"argument --tol: must be a finite number >= 0, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "abc"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize(
+    "argv",
+    [["honest", "--trials", "1"], ["attack", "--edge", "9", "--attack", "keep-phi0"],
+     ["sweep", "--attacks-per-edge", "1", "--jobs", "1"]],
+    ids=["honest", "attack", "sweep"],
+)
+def test_seed_outside_its_domain_is_a_usage_error(argv, source, value, capsys, monkeypatch):
+    """--seed, and QNC_SEED in its place, is an integer >= 0: numpy refuses a
+    negative seed only where a random draw happens, so a named tap ran with
+    --seed -1.  Refused before any work, with a message naming its source."""
+    monkeypatch.setattr("qnc.cli.analyze", None)  # any analysis would fail with exit 4
+    monkeypatch.setattr("qnc.cli.run", None)
+    if source == "flag":
+        argv, name = argv + ["--seed", value], "argument --seed"
+    else:
+        monkeypatch.setenv("QNC_SEED", value)
+        name = "QNC_SEED"
+    assert run_cli(argv) == 2
+    assert f"{name}: must be an integer >= 0, got {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["attack", "--p", "9", "--edge", "9"], ["sweep", "--p", "x", "--jobs", "1"]],

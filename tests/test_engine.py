@@ -187,9 +187,9 @@ def test_isometry_appends_environment():
 
 def test_isometry_environment_name_and_dim_one():
     st = SparseState(layout3("a"), {(1,): 1.0})
-    out = st.apply_isometry("a", np.eye(3), env_name="env")
-    assert out.layout.names == ("a", "env")
-    assert out.layout.dim("env") == 1
+    out = st.apply_isometry("a", np.eye(3))
+    assert out.layout.names == ("a", "E")
+    assert out.layout.dim("E") == 1
     assert out.amps == {(1, 0): 1.0}
 
 
@@ -309,5 +309,5 @@ def test_fidelity_with_pure():
 
 def test_trace_distance_known_value():
     assert trace_distance(np.eye(3) / 3, np.diag([1.0, 0, 0])) == pytest.approx(2 / 3)
-    rho = bell_pair().partial_trace(["a"])
+    rho = bell_pair().partial_trace(["a"]).matrix
     assert trace_distance(rho, rho) == 0.0

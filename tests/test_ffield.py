@@ -1,6 +1,8 @@
+"""The F_p modulus checks and the inverse of two, from ``qnc.classical_code``."""
+
 import pytest
 
-from qnc.ffield import inverse_of_two, is_odd_prime, validate_modulus
+from qnc.classical_code import inverse_of_two, is_odd_prime, validate_modulus
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])

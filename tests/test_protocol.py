@@ -401,6 +401,14 @@ def test_enumeration_cap_and_edge_validation():
         next(enumerate_branches(ProtocolConfig(p=3), forced={12: 0}))
 
 
+@pytest.mark.parametrize("announced", [3, 5, -1])
+def test_forced_outcome_outside_the_field_is_refused(announced):
+    """An announced outcome is a digit in [0, p), as ``SecurityReport`` reads
+    records; 5 would otherwise be measured as 5 mod 3 but recorded as 5."""
+    with pytest.raises(ValueError, match=rf"outcome {announced} on edge 1 is outside \[0, 3\)"):
+        next(enumerate_branches(ProtocolConfig(p=3), forced={1: announced}))
+
+
 def test_forced_edges_pin_single_branches():
     cfg = ProtocolConfig(p=3, seed=0)
     record = (2, 0, 1, 1, 0, 2, 0, 1, 2)

@@ -26,6 +26,7 @@ from qnc.protocol import (
     enumerate_branches,
     step1_initialize,
     step2_transmit,
+    support,
 )
 from qnc.security import (
     SecurityReport,
@@ -54,13 +55,14 @@ def test_visible_edges_by_variant():
 
 
 def test_analyze_requires_attack_and_entangled_inputs():
-    """Also a key set: a repeated key would add its branches coherently."""
+    """Also the support's key set: a repeated key would add its branches
+    coherently."""
     with pytest.raises(ValueError):
         analyze(ProtocolConfig(p=3))
     cfg = ProtocolConfig(p=3, attack=identity_forward(7, 3))
     for keys in ((), (0, 3), (1, 1)):
         with pytest.raises(ValueError, match="distinct keys"):
-            analyze(cfg, b1_values=keys)
+            support(cfg, keys)
     with pytest.raises(ValueError):
         analyze(
             ProtocolConfig(
@@ -251,21 +253,14 @@ def test_record_classes_are_reported():
     assert (full.to_json()["record_classes"], weak.to_json()["record_classes"]) == (1, 3)
 
 
-# -- key distribution overrides ---------------------------------------
+# -- a known key -----------------------------------------------------
 
 
-def test_key_average_is_order_insensitive():
-    cfg = ProtocolConfig(p=3, attack=keep_and_send_phi0(7, 3))
-    a = analyze(cfg, b1_values=(0, 1, 2), with_fidelity=False)
-    b = analyze(cfg, b1_values=(2, 0, 1), with_fidelity=False)
-    assert a.product_deviation == pytest.approx(b.product_deviation, abs=1e-13)
-    assert verify_independence(a)[0] and verify_independence(b)[0]
-
-
-def test_known_key_breaks_security():
+def test_known_key_breaks_security(monkeypatch):
     """Pinning b1 lets a copying tap on edge 7 read a1 through z7 = a1 + b1."""
+    monkeypatch.setattr(security, "support", lambda config: support(config, (0,)))
     cfg = ProtocolConfig(p=3, attack=measure_and_resend(7, 3, "Z"))
-    report = analyze(cfg, b1_values=(0,), with_fidelity=False)
+    report = analyze(cfg, with_fidelity=False)
     ok, _ = verify_independence(report)
     assert not ok
     assert report.product_deviation == pytest.approx(2 / 3, abs=1e-9)
@@ -350,6 +345,15 @@ def test_verify_with_huge_tolerance_is_vacuous():
     report = analyze(keep11_weak(), with_fidelity=False)
     ok, _ = verify_independence(report, tol=2.0)
     assert ok
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_verify_refuses_a_tolerance_outside_its_domain(tol):
+    """Every comparison with NaN is False, so NaN would pass the frozen
+    counterexample as secure; inf would too, and a negative bound fails all."""
+    report = analyze(keep11_weak(), with_fidelity=False)
+    with pytest.raises(ValueError, match="finite number >= 0"):
+        verify_independence(report, tol)
 
 
 # -- attacked output fidelity -----------------------------------------
